@@ -8,6 +8,18 @@ observation mask) one partial-convolution step outward, mixes the tokens,
 and de-aggregates back to the grid.  Points the mask has not yet reached
 decode to zero; the observed set grows monotonically with depth.
 
+The propagated maps are never formed.  The partial convolution is linear and
+acts on each token's map separately, so it commutes with the decode
+contraction.  With Z1 = [Z | 1] the tokens plus a ones column, w_o and b the
+per-token kernel taps and bias, f the renormalization factor and obs the
+propagated mask:
+
+    num[n] = f[n] * sum_o shift_o(S @ (w_o * Z1))[n] + obs[n] * (b . Z1)
+    out[n] = num[n, :C_h] / num[n, C_h]          (a zero row stays zero)
+
+`pconv_propagate` computes f and obs from the mask alone; `phca_decode`
+does the rest with one `tensor.tap_contract` per layer.
+
 A dense kernel oracle materializes each layer's aggregation/de-aggregation
 as an explicit low-rank kernel integral for verification.
 """
@@ -237,9 +249,9 @@ def _split_heads(y: Tensor, cfg: ModelConfig) -> Tensor:
 
 
 def _merge_heads(yh: Tensor, cfg: ModelConfig) -> Tensor:
-    b = yh.shape[0]
-    n = yh.shape[2]
-    return T.reshape(T.transpose(yh, (0, 2, 1, 3)), (b, n, cfg.channels))
+    """(B, H, C_h, N) -> (B, N, C)."""
+    b, n = yh.shape[0], yh.shape[3]
+    return T.reshape(T.transpose(yh, (0, 3, 1, 2)), (b, n, cfg.channels))
 
 
 def phca_encode(yh: Tensor, mask: np.ndarray, params: ModelParams, layer: int):
@@ -276,36 +288,23 @@ def _window_sizes(gh: int, gw: int, k: int) -> np.ndarray:
     return _window_counts(np.ones((gh, gw)), k)
 
 
-def pconv_propagate(s: Tensor, mask: np.ndarray, params: ModelParams, layer: int,
-                    gh: int, gw: int):
-    """Partial convolution over the attention maps plus mask dilation.
+def pconv_propagate(mask: np.ndarray, k: int, gh: int, gw: int):
+    """Mask half of the boundary-first partial convolution.
 
-    s: (B, H, N, L) with rows at unobserved points already zero.  Per output
-    cell, if its window holds >= 1 observed cell the response is renormalized
-    by (in-bounds window size / observed count) and biased; otherwise it is
-    exactly zero.  Returns (s_next (B,H,N,L), mask_next (B,N)).
+    mask: (B, N) over a row-major gh x gw grid.  A cell whose k x k window
+    (zero-padded) holds >= 1 observed cell joins the next layer's mask, and
+    its conv response is renormalized by (in-bounds window size / observed
+    count): k*k / count in the interior.  The feature half, the conv over the
+    attention maps, runs after the contraction inside `phca_decode`.
+    Returns (factor (B, N), zero off the new mask; mask_next (B, N)).
     """
-    cfg = params.config
-    b = s.shape[0]
-    k = cfg.pconv_kernel
-    hl = cfg.heads * cfg.latent_tokens
-    grid = T.reshape(T.transpose(s, (0, 1, 3, 2)), (b, hl, gh, gw))
-    num = T.depthwise_conv2d(grid, params[f"L{layer}.pconv_w"], padding=k // 2)
-
-    mask_grid = mask.reshape(b, gh, gw)
-    counts = _window_counts(mask_grid, k)                      # (B, gh, gw)
+    b = mask.shape[0]
+    counts = _window_counts(mask.reshape(b, gh, gw), k)       # (B, gh, gw)
     observed = counts > 0
     sizes = _window_sizes(gh, gw, k)
     factor = np.where(observed, sizes / np.where(observed, counts, 1.0), 0.0)
-    factor = factor[:, None].astype(num.dtype)                 # (B, 1, gh, gw)
-    obs_b = observed[:, None].astype(num.dtype)
-
-    bias = T.reshape(params[f"L{layer}.pconv_b"], (hl, 1, 1))
-    out = num * Tensor(factor, dtype=num.dtype) + bias * Tensor(obs_b, dtype=num.dtype)
-    s_next = T.transpose(T.reshape(out, (b, cfg.heads, cfg.latent_tokens, gh * gw)),
-                         (0, 1, 3, 2))
-    mask_next = observed.reshape(b, gh * gw).astype(mask.dtype)
-    return s_next, mask_next
+    return (factor.reshape(b, gh * gw),
+            observed.reshape(b, gh * gw).astype(mask.dtype))
 
 
 def propagate_mask_grid(mask_grid: np.ndarray, k: int, steps: int) -> np.ndarray:
@@ -348,26 +347,68 @@ def _recalc_decode_map(coords: np.ndarray, params: ModelParams, layer: int) -> T
     return T.softmax(logits * (1.0 / cfg.temperature), axis=-1)   # (H, N, L)
 
 
-def phca_decode(z_mixed: Tensor, s_next: Tensor, coords: np.ndarray,
-                params: ModelParams, layer: int) -> Tensor:
-    """De-aggregate tokens back to every grid point: (B, N, C).
+def _fused_reuse_numerator(z_mixed: Tensor, s: Tensor, factor, mask_next,
+                           params: ModelParams, layer: int, gh: int, gw: int) -> Tensor:
+    """S_next @ [Z | 1] without forming S_next, transposed: (B, H, C_h+1, N)."""
+    cfg = params.config
+    b, h, l, ch = z_mixed.shape
+    dtype = z_mixed.dtype
+    ones = Tensor(np.ones((b, h, l, 1), dtype=dtype), dtype=dtype)
+    z1t = T.transpose(T.concat([z_mixed, ones], axis=-1), (0, 1, 3, 2))  # (B,H,C_h+1,L)
+    if not cfg.boundary_first:
+        return T.matmul(z1t, T.transpose(s, (0, 1, 3, 2)))
+    k = cfg.pconv_kernel
+    p = f"L{layer}."
+    w = T.transpose(T.reshape(params[p + "pconv_w"], (h, l, k * k)), (0, 2, 1))
+    wz = T.reshape(T.reshape(w, (h, k * k, 1, l)) * T.reshape(z1t, (b, h, 1, ch + 1, l)),
+                   (b, h, k * k * (ch + 1), l))                  # tap-major
+    bz = T.matmul(z1t, T.reshape(params[p + "pconv_b"], (h, l, 1)))     # (B, H, C_h+1, 1)
+    f = Tensor(factor[:, None, None, :].astype(dtype), dtype=dtype)
+    obs = Tensor(mask_next[:, None, None, :].astype(dtype), dtype=dtype)
+    return T.tap_contract(s, wz, k, gh, gw) * f + bz * obs
 
-    reuse: the propagated encoder maps are row-normalized over tokens; rows
+
+def phca_decode(z_mixed: Tensor, s: Tensor, mask: np.ndarray, coords: np.ndarray,
+                params: ModelParams, layer: int, gh: int, gw: int):
+    """Propagate boundary-first, then de-aggregate tokens to every grid point.
+
+    s: the encoder's masked maps (B, H, N, L), not yet propagated; mask: the
+    layer's input mask (B, N).  Returns (branch (B, N, C), mask_next (B, N)).
+
+    reuse: the decode maps are the propagated encoder maps S_next,
+    row-normalized over tokens.  Because the partial convolution is linear
+    and acts per token, it moves past the token contraction.  With
+    Z1 = [Z | 1], per-token kernel taps w_o and bias b, and f, obs from
+    `pconv_propagate`:
+
+        num = S_next @ Z1 = f * sum_o shift_o(S @ (w_o * Z1)) + obs * (b . Z1)
+        out = num[:, :C_h] / num[:, C_h]
+
+    One `T.tap_contract` does the contraction and the shifted sum.  Rows
     with zero sum (points the mask has not reached) decode to exact zero.
-    recalc: maps are recomputed from coordinates and decode everywhere.
+    Without boundary_first, num is Z1^T @ S^T.  recalc: maps are recomputed
+    from coordinates and decode everywhere; only the mask is propagated.
     """
     cfg = params.config
-    if cfg.variant == VARIANT_RECALC:
-        a = _recalc_decode_map(coords, params, layer)
+    if cfg.boundary_first:
+        factor, mask_next = pconv_propagate(mask, cfg.pconv_kernel, gh, gw)
     else:
-        row = s_next.sum(axis=-1, keepdims=True)
+        factor, mask_next = None, mask
+    if cfg.variant == VARIANT_RECALC:
+        a = _recalc_decode_map(coords, params, layer)                 # (H, N, L)
+        out_h = T.matmul(T.transpose(z_mixed, (0, 1, 3, 2)), T.transpose(a, (0, 2, 1)))
+    else:
+        ch = cfg.head_dim
+        num = _fused_reuse_numerator(z_mixed, s, factor, mask_next, params, layer,
+                                     gh, gw)
+        row = num[:, :, ch:]
         safe = T.masked_fill(row, row.data == 0.0, 1.0)
         if _decode_norm_corruption:
             safe = safe + _decode_norm_corruption
-        a = s_next / safe
-    out_h = T.matmul(a, z_mixed)                               # (B, H, N, C_h)
+        out_h = num[:, :, :ch] / safe                                  # (B, H, C_h, N)
     merged = _merge_heads(out_h, cfg)
-    return T.matmul(merged, params[f"L{layer}.merge_w"]) + params[f"L{layer}.merge_b"]
+    branch = T.matmul(merged, params[f"L{layer}.merge_w"]) + params[f"L{layer}.merge_b"]
+    return branch, mask_next
 
 
 def phlp_branch(y_norm: Tensor, mask: np.ndarray, coords: np.ndarray,
@@ -379,12 +420,8 @@ def phlp_branch(y_norm: Tensor, mask: np.ndarray, coords: np.ndarray,
     cfg = params.config
     yh = _split_heads(y_norm, cfg)
     s, z = phca_encode(yh, mask, params, layer)
-    if cfg.boundary_first:
-        s_next, mask_next = pconv_propagate(s, mask, params, layer, gh, gw)
-    else:
-        s_next, mask_next = s, mask
     z_mixed = token_mix(z, params, layer)
-    branch = phca_decode(z_mixed, s_next, coords, params, layer)
+    branch, mask_next = phca_decode(z_mixed, s, mask, coords, params, layer, gh, gw)
     state = LatentState(s.data, z.data, mask_next, layer)
     return branch, mask_next, state
 
@@ -586,27 +623,33 @@ class CheckpointError(IOError):
 
 
 def load_checkpoint(path, dtype=None) -> ModelParams:
+    """Read a POBW checkpoint; any malformed content raises CheckpointError."""
     dtype = dtype or T.default_dtype()
     with open(path, "rb") as f:
         raw = f.read()
-    view = memoryview(raw)
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    if len(raw) < 12:
+        raise CheckpointError(f"{path}: truncated header")
+    version, cfg_len = struct.unpack_from("<II", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    (cfg_len,) = struct.unpack_from("<I", raw, 8)
-    off = 12
-    cfg = config_from_text(bytes(view[off:off + cfg_len]).decode("utf-8"))
-    off += cfg_len
+    off = 12 + cfg_len
+    if off > len(raw):
+        raise CheckpointError(f"{path}: truncated config")
+    try:
+        cfg = config_from_text(raw[12:off].decode("utf-8"))
+    except (ValueError, TypeError) as e:     # garbled value, unknown key
+        raise CheckpointError(f"{path}: bad config: {e}") from None
     params = ModelParams(cfg, seed=0, dtype=dtype)
     for name, _, _ in _param_specs(cfg):
         if off >= len(raw):
             raise CheckpointError(f"{path}: truncated before {name}")
-        (ndim,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
+        ndim = raw[off]
+        if off + 1 + 4 * ndim > len(raw):
+            raise CheckpointError(f"{path}: truncated shape of {name}")
+        shape = struct.unpack_from(f"<{ndim}I", raw, off + 1)
+        off += 1 + 4 * ndim
         want = params[name].shape
         if tuple(shape) != tuple(want):
             raise CheckpointError(
@@ -618,4 +661,7 @@ def load_checkpoint(path, dtype=None) -> ModelParams:
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
         params[name].data = arr.reshape(shape).astype(dtype)
         off = end
+    if off != len(raw):
+        raise CheckpointError(
+            f"{path}: {len(raw) - off} trailing bytes after the last tensor")
     return params

@@ -499,6 +499,58 @@ def depthwise_conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     return _make(data, (x, w), vjp)
 
 
+def _shift_slices(d: int, m: int):
+    """(dst, src) slices along an axis of length m with dst[i] <- src[i + d]."""
+    return slice(max(0, -d), m - max(0, d)), slice(max(0, d), m + min(0, d))
+
+
+def tap_contract(s: Tensor, wz: Tensor, k: int, gh: int, gw: int) -> Tensor:
+    """Contract maps with per-tap weights, then sum the taps' shifted grids.
+
+    s: (..., N, L) over the N = gh*gw cells of a row-major grid; wz:
+    (..., k*k*C, L), tap-major: row t*C + c belongs to kernel tap
+    t = i*k + j, at offset (di, dj) = (i - k//2, j - k//2).  Returns
+    (..., C, N) with
+
+        out[..., c, (r, q)] = sum_t (wz_t @ s^T)[..., c, (r + di, q + dj)],
+
+    cells outside the grid reading zero: a zero-padded k x k correlation
+    applied after the contraction.  The (..., k*k*C, N) intermediate is not
+    kept; the vjp gathers the shifted cotangents and multiplies them with s
+    and wz.
+    """
+    if (s.ndim < 2 or wz.ndim < 2 or k < 1 or k % 2 == 0
+            or s.shape[-2] != gh * gw or wz.shape[-1] != s.shape[-1]
+            or wz.shape[-2] % (k * k)):
+        raise ShapeMismatch("tap_contract", s.shape, wz.shape)
+    kk, p, n = k * k, k // 2, gh * gw
+    c = wz.shape[-2] // kk
+    try:
+        y = wz.data @ s.data.swapaxes(-1, -2)                  # (..., k*k*C, N)
+    except ValueError:
+        raise ShapeMismatch("tap_contract", s.shape, wz.shape) from None
+    lead = y.shape[:-2]
+    y = y.reshape(lead + (kk, c, gh, gw))
+    taps = [(i * k + j, i - p, j - p) for i in range(k) for j in range(k)]
+    out = y[..., kk // 2, :, :, :].copy()                      # centre tap
+    for t, di, dj in taps:
+        if di or dj:
+            (dr, sr), (dc, sc) = _shift_slices(di, gh), _shift_slices(dj, gw)
+            out[..., dr, dc] += y[..., t, :, sr, sc]
+
+    def vjp(g):
+        gp = _pad2d(g.reshape(lead + (c, gh, gw)), p)
+        gy = np.empty(lead + (kk, c, gh, gw), dtype=g.dtype)
+        for t, di, dj in taps:
+            gy[..., t, :, :, :] = gp[..., p - di:p - di + gh, p - dj:p - dj + gw]
+        gy = gy.reshape(lead + (kk * c, n))
+        gs = gy.swapaxes(-1, -2) @ wz.data
+        gwz = gy @ s.data
+        return _unbroadcast(gs, s.shape), _unbroadcast(gwz, wz.shape)
+
+    return _make(out.reshape(lead + (c, n)), (s, wz), vjp)
+
+
 # -- backward -----------------------------------------------------------------
 
 def backward(loss: Tensor) -> dict:

@@ -244,21 +244,29 @@ def check_mask_coverage_dilation():
 
 
 def check_pconv_full_mask_reduction():
+    """Under a full mask the fused propagate-and-decode equals a plain
+    depthwise conv plus bias, row-normalized and contracted with the tokens."""
     cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
-                         history=1, phys_channels=1)
+                         history=1, phys_channels=1, token_mixer="none")
     params = md.ModelParams(cfg, seed=5)
     rng = np.random.default_rng(6)
-    params["L0.pconv_w"].data = rng.normal(size=params["L0.pconv_w"].shape)
+    params["L0.pconv_w"].data = rng.uniform(0.1, 1.0, size=params["L0.pconv_w"].shape)
+    params["L0.pconv_b"].data = rng.uniform(0.1, 0.5, size=params["L0.pconv_b"].shape)
+    params["L0.merge_w"].data = rng.normal(size=(8, 8))
     gh = gw = 6
     s_arr = rng.random((1, 2, 36, 2))
-    s_next, m_next = md.pconv_propagate(Tensor(s_arr), np.ones((1, 36)),
-                                        params, 0, gh, gw)
-    grid = s_arr.transpose(0, 1, 3, 2).reshape(1, 4, gh, gw)
+    z = rng.normal(size=(1, 2, 2, 4))
     with T.no_grad():
-        want = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
-    want = want.data + params["L0.pconv_b"].data[None, :, None, None]
-    got = s_next.data.transpose(0, 1, 3, 2).reshape(1, 4, gh, gw)
-    dev = np.abs(got - want).max()
+        got, m_next = md.phca_decode(Tensor(z), Tensor(s_arr), np.ones((1, 36)),
+                                     _coords(gh, gw), params, 0, gh, gw)
+        grid = s_arr.transpose(0, 1, 3, 2).reshape(1, 4, gh, gw)
+        conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
+    s_next = (conv.data + params["L0.pconv_b"].data[None, :, None, None]) \
+        .reshape(1, 2, 2, 36).transpose(0, 1, 3, 2)
+    out_h = s_next / s_next.sum(axis=-1, keepdims=True) @ z       # (1, H, N, C_h)
+    want = out_h.transpose(0, 2, 1, 3).reshape(1, 36, 8) @ params["L0.merge_w"].data \
+        + params["L0.merge_b"].data
+    dev = np.abs(got.data - want).max()
     return dev < 1e-12 and np.all(m_next == 1.0), f"dev vs plain conv {dev:.2e}"
 
 
@@ -270,7 +278,8 @@ def check_single_token_closed_forms():
     n = 16
     yh = rng.normal(size=(1, 2, n, 4))
     mask = (rng.random((1, n)) > 0.4).astype(np.float64)
-    _, z = md.phca_encode(Tensor(yh), mask, params, 0)
+    with T.no_grad():
+        _, z = md.phca_encode(Tensor(yh), mask, params, 0)
     want = (yh * mask[:, None, :, None]).sum(axis=2) / (mask.sum() + cfg.eps)
     dev = np.abs(z.data[:, :, 0, :] - want).max()
     return dev < 1e-12, f"single-token aggregation dev {dev:.2e}"

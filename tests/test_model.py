@@ -149,93 +149,129 @@ def test_encode_all_unobserved_rejected():
 
 
 # -- partial convolution -----------------------------------------------------------
+# The boundary-first step is fused into the decode, so each property is checked
+# on the decode output against `decode_from_maps`, the two-step reference that
+# row-normalizes explicitly propagated maps S_next and contracts them with Z.
 
 def pconv_setup(cfg, gh, gw, seed=0):
     params = md.ModelParams(cfg, seed=seed)
     rng = np.random.default_rng(seed)
+    params["L0.merge_w"].data = rng.normal(size=(cfg.channels, cfg.channels))
+    params["L0.merge_b"].data = rng.normal(size=cfg.channels)
     n = gh * gw
     s = rng.random((1, cfg.heads, n, cfg.latent_tokens))
-    return params, s
+    z = rng.normal(size=(1, cfg.heads, cfg.latent_tokens, cfg.head_dim))
+    return params, s, z
+
+
+def decode_from_maps(s_next, z, params):
+    row = s_next.sum(axis=-1, keepdims=True)
+    out_h = s_next / np.where(row == 0.0, 1.0, row) @ z          # (B, H, N, C_h)
+    b, h, n, ch = out_h.shape
+    merged = out_h.transpose(0, 2, 1, 3).reshape(b, n, h * ch)
+    return merged @ params["L0.merge_w"].data + params["L0.merge_b"].data
+
+
+def fused_decode(z, s, mask, params, gh, gw):
+    with T.no_grad():
+        out, m_next = md.phca_decode(Tensor(z), Tensor(s), mask, grid_coords(gh, gw),
+                                     params, 0, gh, gw)
+    return out.data, m_next
 
 
 def test_pconv_full_mask_equals_standard_convolution():
     cfg = small_config()
     gh = gw = 6
-    params, s_arr = pconv_setup(cfg, gh, gw, seed=5)
+    params, s_arr, z = pconv_setup(cfg, gh, gw, seed=5)
     rng = np.random.default_rng(6)
-    params["L0.pconv_w"].data = rng.normal(size=params["L0.pconv_w"].shape)
-    params["L0.pconv_b"].data = rng.normal(size=params["L0.pconv_b"].shape)
+    params["L0.pconv_w"].data = rng.uniform(0.1, 1.0, size=params["L0.pconv_w"].shape)
+    params["L0.pconv_b"].data = rng.uniform(0.1, 0.5, size=params["L0.pconv_b"].shape)
     mask = np.ones((1, gh * gw))
-    s = Tensor(s_arr)
-    s_next, m_next = md.pconv_propagate(s, mask, params, 0, gh, gw)
+    got, m_next = fused_decode(z, s_arr, mask, params, gh, gw)
     assert np.all(m_next == 1.0)
 
     # oracle: plain depthwise convolution + bias (renormalization factor 1)
     hl = cfg.heads * cfg.latent_tokens
     grid = s_arr.transpose(0, 1, 3, 2).reshape(1, hl, gh, gw)
     with T.no_grad():
-        want = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
-    want = want.data + params["L0.pconv_b"].data[None, :, None, None]
-    got = s_next.data.transpose(0, 1, 3, 2).reshape(1, hl, gh, gw)
-    assert np.abs(got - want).max() < 1e-12
+        conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
+    s_next = (conv.data + params["L0.pconv_b"].data[None, :, None, None]) \
+        .reshape(1, cfg.heads, cfg.latent_tokens, -1).transpose(0, 1, 3, 2)
+    assert np.abs(got - decode_from_maps(s_next, z, params)).max() < 1e-12
+
+
+def test_pconv_full_mask_factor_is_one():
+    factor, m_next = md.pconv_propagate(np.ones((2, 20)), 3, 4, 5)
+    assert np.all(factor == 1.0) and np.all(m_next == 1.0)
 
 
 def test_pconv_single_observed_cell_dilates_to_3x3():
     cfg = small_config()
     gh = gw = 8
-    params, s_arr = pconv_setup(cfg, gh, gw)
+    params, s_arr, z = pconv_setup(cfg, gh, gw)
     mask = np.zeros((1, gh, gw))
     mask[0, 4, 3] = 1.0
     s_arr = s_arr * mask.reshape(1, 1, -1, 1)
-    _, m_next = md.pconv_propagate(Tensor(s_arr), mask.reshape(1, -1),
-                                   params, 0, gh, gw)
     want = np.zeros((gh, gw))
     want[3:6, 2:5] = 1.0
+    _, m_next = md.pconv_propagate(mask.reshape(1, -1), 3, gh, gw)
     assert np.array_equal(m_next.reshape(gh, gw), want)
+
+    got, m_next = fused_decode(z, s_arr, mask.reshape(1, -1), params, gh, gw)
+    assert np.array_equal(m_next.reshape(gh, gw), want)
+    reached = want.reshape(-1) == 1.0
+    assert np.all(got[0, ~reached] == params["L0.merge_b"].data)
+    assert np.all(np.abs(got[0, reached] - params["L0.merge_b"].data).max(axis=-1) > 0)
 
 
 def test_pconv_identity_kernel_full_mask_is_s_plus_bias():
     cfg = small_config()
     gh = gw = 5
-    params, s_arr = pconv_setup(cfg, gh, gw, seed=7)
+    params, s_arr, z = pconv_setup(cfg, gh, gw, seed=7)
     w = np.zeros(params["L0.pconv_w"].shape)
     w[:, 1, 1] = 1.0
     params["L0.pconv_w"].data = w
     params["L0.pconv_b"].data = np.full(params["L0.pconv_b"].shape, 0.25)
-    mask = np.ones((1, gh * gw))
-    s_next, _ = md.pconv_propagate(Tensor(s_arr), mask, params, 0, gh, gw)
-    assert np.abs(s_next.data - (s_arr + 0.25)).max() < 1e-12
+    got, _ = fused_decode(z, s_arr, np.ones((1, gh * gw)), params, gh, gw)
+    assert np.abs(got - decode_from_maps(s_arr + 0.25, z, params)).max() < 1e-12
 
 
 def test_pconv_interior_renormalization_is_k2_over_count():
-    # averaging kernel: output at a cell with j observed neighbors equals the
-    # mean of the observed values in its window
-    cfg = small_config(heads=1, latent_tokens=1)
+    # averaging kernel: the conv response at a cell with j observed neighbors
+    # equals the mean of the observed values in its window; a nonzero bias
+    # keeps the factor from cancelling in the row normalization
+    cfg = small_config(heads=1, channels=8, latent_tokens=2)
     gh = gw = 7
-    params = md.ModelParams(cfg, seed=0)
+    params, _, z = pconv_setup(cfg, gh, gw, seed=0)
+    bias = np.array([0.3, 0.1])
+    params["L0.pconv_b"].data = bias
     rng = np.random.default_rng(8)
-    vals = rng.random((gh, gw))
+    vals = rng.random((gh, gw, 2))
     mask = (rng.random((gh, gw)) > 0.5).astype(np.float64)
-    mask[3, 3] = 0.0
-    s_arr = (vals * mask).reshape(1, 1, -1, 1)
-    s_next, _ = md.pconv_propagate(Tensor(s_arr), mask.reshape(1, -1),
-                                   params, 0, gh, gw)
-    window_vals = (vals * mask)[2:5, 2:5]
-    window_mask = mask[2:5, 2:5]
-    if window_mask.sum() > 0:
-        want = window_vals.sum() / window_mask.sum()
-        got = s_next.data.reshape(gh, gw)[3, 3]
-        assert abs(got - want) < 1e-12
+    mask[3, 3], mask[2, 2] = 0.0, 1.0
+    s_arr = (vals * mask[..., None]).reshape(1, 1, -1, 2)
+
+    factor, _ = md.pconv_propagate(mask.reshape(1, -1), 3, gh, gw)
+    assert factor.reshape(gh, gw)[3, 3] == 9.0 / mask[2:5, 2:5].sum()
+    assert factor.reshape(gh, gw)[0, 0] == 4.0 / mask[:2, :2].sum()
+
+    got, _ = fused_decode(z, s_arr, mask.reshape(1, -1), params, gh, gw)
+    window = (vals * mask[..., None])[2:5, 2:5].sum(axis=(0, 1)) / mask[2:5, 2:5].sum()
+    s_next = window + bias
+    out_h = (s_next / s_next.sum()) @ z[0, 0]
+    want = out_h @ params["L0.merge_w"].data + params["L0.merge_b"].data
+    assert np.abs(got.reshape(gh, gw, -1)[3, 3] - want).max() < 1e-12
 
 
 def test_pconv_all_zero_mask_stays_zero():
     cfg = small_config()
     gh = gw = 4
-    params, s_arr = pconv_setup(cfg, gh, gw)
+    params, s_arr, z = pconv_setup(cfg, gh, gw)
     mask = np.zeros((1, gh * gw))
-    s_next, m_next = md.pconv_propagate(Tensor(np.zeros_like(s_arr)), mask,
-                                        params, 0, gh, gw)
-    assert np.all(s_next.data == 0.0)
+    factor, m_next = md.pconv_propagate(mask, 3, gh, gw)
+    assert np.all(factor == 0.0) and np.all(m_next == 0.0)
+    got, m_next = fused_decode(z, np.zeros_like(s_arr), mask, params, gh, gw)
+    assert np.all(got == params["L0.merge_b"].data)
     assert np.all(m_next == 0.0)
 
 
@@ -280,36 +316,60 @@ def test_mixer_mlp_preserves_shape():
 # -- decode ------------------------------------------------------------------------
 
 def test_decode_single_token_reuse_gives_token_everywhere_observed():
-    cfg = small_config(latent_tokens=1, token_mixer="none")
+    for boundary_first in (False, True):
+        check_single_token_reuse_decode(boundary_first)
+
+
+def check_single_token_reuse_decode(boundary_first):
+    cfg = small_config(latent_tokens=1, token_mixer="none",
+                       boundary_first=boundary_first)
     params = md.ModelParams(cfg, seed=6)
     params["L0.merge_w"].data = np.eye(cfg.channels)  # expose head outputs
     gh = gw = 4
     n = gh * gw
     rng = np.random.default_rng(4)
-    s_next_arr = np.zeros((1, cfg.heads, n, 1))
-    observed = rng.random(n) > 0.3
-    s_next_arr[0, :, observed, 0] = rng.random((cfg.heads, int(observed.sum()))).T
+    s_arr = np.zeros((1, cfg.heads, n, 1))
+    observed = rng.random(n) > 0.6
+    s_arr[0, :, observed, 0] = rng.random((cfg.heads, int(observed.sum()))).T
     z = rng.normal(size=(1, cfg.heads, 1, cfg.head_dim))
-    out = md.phca_decode(Tensor(z), Tensor(s_next_arr), grid_coords(gh, gw),
-                         params, 0)
-    out_h = out.data.reshape(1, n, cfg.heads, cfg.head_dim)
+    out, m_next = fused_decode(z, s_arr, observed[None].astype(np.float64),
+                               params, gh, gw)
+    reached = m_next[0] == 1.0
+    if boundary_first:
+        assert np.all(reached >= observed) and reached.sum() > observed.sum()
+    else:
+        assert np.array_equal(reached, observed)
+    out_h = out.reshape(1, n, cfg.heads, cfg.head_dim)
     for i in range(n):
-        if observed[i]:
+        if reached[i]:
             assert np.abs(out_h[0, i] - z[0, :, 0, :]).max() < 1e-12
         else:
             assert np.all(out_h[0, i] == 0.0)
 
 
 def test_decode_zero_rows_decode_to_zero():
+    cfg = small_config(token_mixer="none", boundary_first=False)
+    params, s_arr, z = pconv_setup(cfg, 4, 4, seed=7)
+    s_arr[:, :, 5] = 0.0
+    mask = np.ones((1, 16))
+    mask[0, 5] = 0.0
+    out, _ = fused_decode(z, s_arr, mask, params, 4, 4)
+    assert np.all(out[0, 5] == params["L0.merge_b"].data)
+
+
+def test_decode_rows_beyond_dilation_decode_to_merge_b():
     cfg = small_config(token_mixer="none")
-    params = md.ModelParams(cfg, seed=7)
-    rng = np.random.default_rng(5)
-    n = 16
-    s_next = rng.random((1, cfg.heads, n, cfg.latent_tokens))
-    s_next[:, :, 5] = 0.0
-    z = rng.normal(size=(1, cfg.heads, cfg.latent_tokens, cfg.head_dim))
-    out = md.phca_decode(Tensor(z), Tensor(s_next), grid_coords(4, 4), params, 0)
-    assert np.all(out.data[0, 5] == params["L0.merge_b"].data)
+    gh = gw = 6
+    params, s_arr, z = pconv_setup(cfg, gh, gw, seed=8)
+    params["L0.pconv_b"].data = np.full(params["L0.pconv_b"].shape, 0.2)
+    mask = np.zeros((1, gh, gw))
+    mask[0, :2, :2] = 1.0
+    s_arr = s_arr * mask.reshape(1, 1, -1, 1)
+    out, _ = fused_decode(z, s_arr, mask.reshape(1, -1), params, gh, gw)
+    out = out.reshape(gh, gw, -1)
+    assert np.all(out[3:] == params["L0.merge_b"].data)
+    assert np.all(out[:, 3:] == params["L0.merge_b"].data)
+    assert np.all(np.abs(out[:3, :3] - params["L0.merge_b"].data).max(axis=-1) > 0)
 
 
 def test_decode_recalc_constant_logits_uniform_weights():
@@ -322,11 +382,15 @@ def test_decode_recalc_constant_logits_uniform_weights():
     rng = np.random.default_rng(6)
     n = 16
     z = rng.normal(size=(1, cfg.heads, cfg.latent_tokens, cfg.head_dim))
-    out = md.phca_decode(Tensor(z), Tensor(np.zeros((1, cfg.heads, n, cfg.latent_tokens))),
-                         grid_coords(4, 4), params, 0)
+    mask = np.zeros((1, n))
+    mask[0, 0] = 1.0
+    out, m_next = fused_decode(z, np.zeros((1, cfg.heads, n, cfg.latent_tokens)),
+                               mask, params, 4, 4)
     want_h = z.mean(axis=2)  # uniform 1/L mixture of tokens
-    out_h = out.data.reshape(1, n, cfg.heads, cfg.head_dim)
+    out_h = out.reshape(1, n, cfg.heads, cfg.head_dim)
     assert np.abs(out_h - want_h[:, None]).max() < 1e-12
+    # the mask still dilates although the recalc maps ignore it
+    assert m_next.reshape(4, 4)[:2, :2].sum() == 4 and m_next.sum() == 4
 
 
 # -- layers and full forward ---------------------------------------------------------
@@ -414,6 +478,32 @@ def test_without_boundary_first_mask_frozen():
     assert pred.shape == (1, 6, 6, 1)
 
 
+def test_forward_makes_no_depthwise_conv_call(monkeypatch):
+    # the partial convolution runs after the contraction, inside T.tap_contract
+    def forbidden(*args, **kwargs):
+        raise AssertionError("T.depthwise_conv2d called")
+
+    monkeypatch.setattr(T, "depthwise_conv2d", forbidden)
+    cfg = small_config()
+    params = md.ModelParams(cfg, seed=16)
+    coords, frames, mask = random_inputs(cfg, 6, 5, seed=6)
+    md.lano_forward(coords, frames, mask, params)
+    with T.no_grad():
+        md.lano_forward(coords, frames, mask, params)
+
+
+def test_grad_forward_keeps_no_conv_grid_on_tape():
+    cfg = small_config()
+    params = md.ModelParams(cfg, seed=17)
+    gh, gw, b = 6, 5, 2
+    coords, frames, mask = random_inputs(cfg, gh, gw, b=b, seed=7)
+    md.lano_forward(coords, frames, mask, params)
+    tape = T.active_tape()
+    assert len(tape) > 0
+    grid = (b, cfg.heads * cfg.latent_tokens, gh, gw)
+    assert all(t.shape != grid for t in tape._nodes)
+
+
 # -- kernel oracle -------------------------------------------------------------------
 
 def oracle_instance(cfg, gh, gw, seed, missing=0.4, pattern="point"):
@@ -466,6 +556,25 @@ def test_kernel_oracle_with_attention_mixer():
     res = md.kernel_oracle(params, 0, mask, y, 6, 6)
     got = phlp_branch_output(params, y, mask, 6, 6)
     assert np.abs(res.integral - got).max() < 1e-6
+
+
+@pytest.mark.parametrize("boundary_first", [True, False])
+@pytest.mark.parametrize("mixer", ["none", "attention"])
+def test_fused_branch_matches_oracle_float64(mixer, boundary_first):
+    # non-trivial propagation weights: positive so every reached row has a
+    # positive sum, which the oracle's row normalization assumes
+    for seed in range(3):
+        cfg = small_config(token_mixer=mixer, boundary_first=boundary_first)
+        params, y, mask = oracle_instance(cfg, 8, 6, seed=90 + seed, missing=0.6)
+        if boundary_first:
+            rng = np.random.default_rng(seed)
+            params["L0.pconv_w"].data = rng.uniform(0.05, 1.0,
+                                                    size=params["L0.pconv_w"].shape)
+            params["L0.pconv_b"].data = rng.uniform(0.0, 0.3,
+                                                    size=params["L0.pconv_b"].shape)
+        res = md.kernel_oracle(params, 0, mask, y, 8, 6)
+        got = phlp_branch_output(params, y, mask, 8, 6)
+        assert np.abs(res.integral - got).max() <= 1e-10, seed
 
 
 def test_kernel_columns_vanish_outside_observed_set():
@@ -551,6 +660,54 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
         (tmp_path / "tr.pobw").write_bytes(raw[: len(raw) // 2])
         with pytest.raises(md.CheckpointError, match="truncated"):
             md.load_checkpoint(tmp_path / "tr.pobw")
+
+
+def saved_checkpoint(tmp_path):
+    with T.precision(np.float32):
+        params = md.ModelParams(small_config(), seed=22)
+        p = tmp_path / "m.pobw"
+        md.save_checkpoint(params, p)
+    return p.read_bytes()
+
+
+def replace_config_line(raw, old, new):
+    (cfg_len,) = np.frombuffer(raw, dtype="<u4", count=1, offset=8)
+    text = raw[12:12 + cfg_len].replace(old, new)
+    return raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + cfg_len:]
+
+
+def test_checkpoint_garbled_config_value_is_checkpoint_error(tmp_path):
+    raw = saved_checkpoint(tmp_path)
+    bad = tmp_path / "bad.pobw"
+    bad.write_bytes(replace_config_line(raw, b"layers=2", b"layers=two"))
+    with pytest.raises(md.CheckpointError, match="bad config"):
+        md.load_checkpoint(bad)
+
+
+def test_checkpoint_unknown_config_key_is_checkpoint_error(tmp_path):
+    raw = saved_checkpoint(tmp_path)
+    bad = tmp_path / "bad.pobw"
+    bad.write_bytes(replace_config_line(raw, b"layers=2", b"layers=2\ndepth=2"))
+    with pytest.raises(md.CheckpointError, match="bad config"):
+        md.load_checkpoint(bad)
+
+
+def test_checkpoint_trailing_bytes_are_rejected(tmp_path):
+    raw = saved_checkpoint(tmp_path)
+    bad = tmp_path / "bad.pobw"
+    bad.write_bytes(raw + b"\0")
+    with pytest.raises(md.CheckpointError, match="trailing"):
+        md.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("keep", [6, 20, -1, -5])
+def test_checkpoint_truncated_anywhere_is_checkpoint_error(tmp_path, keep):
+    # inside the header, inside the config text, and inside the last tensor
+    raw = saved_checkpoint(tmp_path)
+    bad = tmp_path / "bad.pobw"
+    bad.write_bytes(raw[:keep])
+    with pytest.raises(md.CheckpointError, match="truncated"):
+        md.load_checkpoint(bad)
 
 
 def test_forward_deterministic():

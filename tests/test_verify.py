@@ -1,0 +1,37 @@
+import numpy as np
+
+from partialpde import model as md
+from partialpde import tensor as T
+from partialpde import verify as vf
+
+
+def test_run_suite_passes_and_leaves_no_tape_nodes(tmp_path):
+    before = len(T.active_tape())
+    ok, results = vf.run_suite(tmp_dir=str(tmp_path))
+    assert len(T.active_tape()) == before
+    assert ok, [r for r in results if not r.ok]
+    assert len(results) == 23
+    assert T.default_dtype() is np.float32
+
+
+def test_each_check_leaves_the_tape_as_it_found_it(tmp_path):
+    # run_suite alone cannot show a leak: a later check's backward clears
+    # the tape after walking the stray nodes
+    for name, _, fn in vf.CHECKS:
+        before = len(T.active_tape())
+        with T.precision(np.float64):
+            if fn is vf.check_round_trips:
+                fn(str(tmp_path))
+            else:
+                fn()
+        assert len(T.active_tape()) == before, name
+
+
+def test_run_suite_catches_corrupted_decode_normalization(tmp_path):
+    md.set_decode_norm_corruption(0.05)
+    try:
+        ok, results = vf.run_suite(groups=("model",), tmp_dir=str(tmp_path))
+    finally:
+        md.set_decode_norm_corruption(0.0)
+    assert not ok
+    assert not {r.name: r.ok for r in results}["kernel_oracle"]
