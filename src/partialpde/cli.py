@@ -140,12 +140,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.corrupt_decode_norm:
-        md.set_decode_norm_corruption(args.corrupt_decode_norm)
-    try:
-        ok, results = vf.run_suite(out_csv=args.out)
-    finally:
-        md.set_decode_norm_corruption(0.0)
+    ok, results = vf.run_suite(out_csv=args.out)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.group:10s} {r.name:32s} "
               f"{r.seconds:6.2f}s  {r.detail}")
@@ -270,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
     p.add_argument("--out", default="")
-    p.add_argument("--corrupt-decode-norm", type=float, default=0.0,
-                   dest="corrupt_decode_norm",
-                   help="test hook: fault the decode normalization")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dump", help="render a field or mask to grayscale PGM")

@@ -65,15 +65,10 @@ def predict_batch(params: md.ModelParams, trajs, masks: np.ndarray):
     """One-step predictions from the first window of each trajectory."""
     history = params.config.history
     frames, truths = _first_window_batch(trajs, history)
-    coords = _coords_for(trajs[0])
+    coords = pg.GridGeometry(*frames.shape[2:4]).coords()
     with T.no_grad():
         pred = md.lano_forward(coords, frames, masks.astype(np.float32), params)
     return pred.data, truths
-
-
-def _coords_for(traj) -> np.ndarray:
-    _, h, w, _ = traj.frames.shape
-    return pg.GridGeometry(h, w).coords().reshape(-1, 2)
 
 
 def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
@@ -90,7 +85,7 @@ def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
     for ri, rate in enumerate(test_rates):
         masks = np.stack([
             mk.gen_mask(pattern, h, w, rate,
-                        seed=_mask_seed(seed, ri, j), patch_size=patch_size).grid
+                        seed=mk.derived_seed(seed, ri, j), patch_size=patch_size).grid
             for j in range(len(trajs))])
         preds, truths = predict_batch(params, trajs, masks)
         errs = [relative_l2(preds[j], truths[j]) for j in range(len(trajs))]
@@ -103,11 +98,6 @@ def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
             "n_samples": len(errs),
         })
     return report
-
-
-def _mask_seed(seed: int, rate_index: int, traj_index: int) -> int:
-    return int(np.random.SeedSequence(
-        [seed, rate_index, traj_index]).generate_state(1)[0])
 
 
 def evaluate_checkpoint(checkpoint_path, dataset, pattern, test_rates,

@@ -49,6 +49,11 @@ class ObservationMask:
         return self.grid.reshape(-1)
 
 
+def derived_seed(*parts: int) -> int:
+    """A 32-bit seed mixed from a tuple of integers (run seed, role, index)."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
 def _check_rate(rate: float) -> None:
     if not 0.0 <= rate < 1.0:
         raise MaskError(f"missing_rate must be in [0, 1), got {rate}")
@@ -113,19 +118,6 @@ def mpt_augment(m: ObservationMask, artificial_rate: float, seed: int,
     return m_aug, h_hat
 
 
-def apply_mask(frames: np.ndarray, m: ObservationMask | np.ndarray) -> np.ndarray:
-    """Zero field values at unobserved points: frames * M broadcast.
-
-    frames has shape (..., H, W, C); the mask itself travels separately
-    (consumers never infer observability from zeros).
-    """
-    grid = m.grid if isinstance(m, ObservationMask) else np.asarray(m)
-    if frames.shape[-3:-1] != grid.shape:
-        raise MaskError(
-            f"frames spatial shape {frames.shape[-3:-1]} != mask {grid.shape}")
-    return frames * grid.astype(frames.dtype)[..., None]
-
-
 # -- file format ---------------------------------------------------------------
 # magic "POBM", version u32, pattern u8, rate f32, patch u16, seed u64,
 # h u16, w u16, then ceil(H*W/8) packed mask bits row-major.  Little-endian.
@@ -158,6 +150,8 @@ def read_mask(path) -> ObservationMask:
         raw = f.read(nbytes)
         if len(raw) < nbytes:
             raise MaskFormatError(f"{path}: truncated mask payload")
+        if f.read(1):
+            raise MaskFormatError(f"{path}: trailing bytes after the mask payload")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                              count=h * w).reshape(h, w)
     return ObservationMask(bits.astype(np.uint8), _PATTERN_NAMES[pcode],

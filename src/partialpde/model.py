@@ -15,13 +15,10 @@ per-token kernel taps and bias, f the renormalization factor and obs the
 propagated mask:
 
     num[n] = f[n] * sum_o shift_o(S @ (w_o * Z1))[n] + obs[n] * (b . Z1)
-    out[n] = num[n, :C_h] / num[n, C_h]          (a zero row stays zero)
+    out[n] = num[n, :C_h] / num[n, C_h]          (zero where num[n, C_h] <= 0)
 
 `pconv_propagate` computes f and obs from the mask alone; `phca_decode`
 does the rest with one `tensor.tap_contract` per layer.
-
-A dense kernel oracle materializes each layer's aggregation/de-aggregation
-as an explicit low-rank kernel integral for verification.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import tensor as T
 from .tensor import Tensor
@@ -43,20 +39,7 @@ VARIANT_REUSE = "reuse"      # decode with the propagated encoder maps
 VARIANT_RECALC = "recalc"    # decode with maps recomputed from coordinates
 MIXERS = ("attention", "mlp", "none")
 
-# test hook: added to the decode-map row sums to fault the normalization
-_decode_norm_corruption = 0.0
-
-
-def set_decode_norm_corruption(value: float) -> None:
-    global _decode_norm_corruption
-    _decode_norm_corruption = float(value)
-
-
 class DegenerateMaskError(ValueError):
-    pass
-
-
-class OracleSizeError(ValueError):
     pass
 
 
@@ -385,7 +368,9 @@ def phca_decode(z_mixed: Tensor, s: Tensor, mask: np.ndarray, coords: np.ndarray
         out = num[:, :C_h] / num[:, C_h]
 
     One `T.tap_contract` does the contraction and the shifted sum.  Rows
-    with zero sum (points the mask has not reached) decode to exact zero.
+    whose token sum is not positive decode to exact zero: points the mask
+    has not reached (sum 0), and rows that sign-mixed taps or bias drive to
+    zero or below.
     Without boundary_first, num is Z1^T @ S^T.  recalc: maps are recomputed
     from coordinates and decode everywhere; only the mask is propagated.
     """
@@ -402,9 +387,7 @@ def phca_decode(z_mixed: Tensor, s: Tensor, mask: np.ndarray, coords: np.ndarray
         num = _fused_reuse_numerator(z_mixed, s, factor, mask_next, params, layer,
                                      gh, gw)
         row = num[:, :, ch:]
-        safe = T.masked_fill(row, row.data == 0.0, 1.0)
-        if _decode_norm_corruption:
-            safe = safe + _decode_norm_corruption
+        safe = T.masked_fill(row, row.data <= 0.0, np.inf)
         out_h = num[:, :, :ch] / safe                                  # (B, H, C_h, N)
     merged = _merge_heads(out_h, cfg)
     branch = T.matmul(merged, params[f"L{layer}.merge_w"]) + params[f"L{layer}.merge_b"]
@@ -476,96 +459,6 @@ def lano_forward(coords: np.ndarray, frames: np.ndarray, mask: np.ndarray,
     pred = T.matmul(y, params["out.w"]) + params["out.b"]
     pred = T.reshape(pred, (b, gh, gw, cfg.phys_channels))
     return (pred, states) if collect_states else pred
-
-
-# -- dense kernel oracle -------------------------------------------------------
-
-@dataclass
-class KernelOracleResult:
-    kappa: np.ndarray      # (H, N, N) per-head scalar kernels
-    integral: np.ndarray   # (N, C) brute-force contraction + head merge
-    identity: np.ndarray   # (N, C) residual self-update term (zero when unobserved)
-    mask: np.ndarray       # (N,)
-
-
-def _np_gelu(x):
-    return x * 0.5 * (1.0 + _erf(x * 0.7071067811865476))
-
-
-def _np_softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def kernel_oracle(params: ModelParams, layer: int, mask: np.ndarray,
-                  y: np.ndarray, gh: int, gw: int,
-                  max_points: int = 256) -> KernelOracleResult:
-    """Materialize one layer's propagator branch as a dense low-rank kernel.
-
-    Independent numpy re-derivation: aggregation columns (eps-normalization
-    folded in) give the source factors, the row-normalized propagated maps
-    plus head merge give the target factors, and the contraction runs as a
-    dense (N x N) kernel multiply rather than through the token bottleneck.
-    Only mixer "none" (skip) and "attention" (folded as a learned token-to-
-    token transformation) admit the factorization.
-    """
-    cfg = params.config
-    n = gh * gw
-    if n > max_points:
-        raise OracleSizeError(f"{n} points exceeds dense-kernel limit {max_points}")
-    if cfg.token_mixer == "mlp":
-        raise OracleSizeError("mlp token mixer does not fold into the kernel")
-    if cfg.variant != VARIANT_REUSE:
-        raise OracleSizeError("kernel oracle targets the reuse decode variant")
-    mask = np.asarray(mask, dtype=np.float64).reshape(n)
-    y = np.asarray(y, dtype=np.float64).reshape(n, cfg.channels)
-    p = f"L{layer}."
-
-    def w(name):
-        return params[p + name].data.astype(np.float64)
-
-    h, ch, l, k = cfg.heads, cfg.head_dim, cfg.latent_tokens, cfg.pconv_kernel
-    yh = y.reshape(n, h, ch).transpose(1, 0, 2)                 # (H, N, C_h)
-
-    logits = _np_gelu(yh @ w("slice_w1") + w("slice_b1")) @ w("slice_w2") \
-        + w("slice_b2")
-    s = _np_softmax(logits / cfg.temperature, axis=-1) * mask[None, :, None]
-    psi = s / (s.sum(axis=1, keepdims=True) + cfg.eps)          # (H, N, L)
-
-    if cfg.boundary_first:
-        grid = s.transpose(0, 2, 1).reshape(h * l, gh, gw)
-        pad = k // 2
-        gp = np.pad(grid, [(0, 0), (pad, pad), (pad, pad)])
-        win = np.lib.stride_tricks.sliding_window_view(gp, (k, k), axis=(1, 2))
-        num = np.einsum("chwij,cij->chw", win, w("pconv_w"))
-        counts = _window_counts(mask.reshape(gh, gw), k)
-        observed = counts > 0
-        sizes = _window_sizes(gh, gw, k)
-        factor = np.where(observed, sizes / np.where(observed, counts, 1.0), 0.0)
-        s_next = num * factor + w("pconv_b")[:, None, None] * observed
-        s_next = s_next.reshape(h, l, n).transpose(0, 2, 1)     # (H, N, L)
-    else:
-        s_next = s
-
-    row = s_next.sum(axis=-1, keepdims=True)
-    phi = np.where(row > 0, s_next / np.where(row > 0, row, 1.0), 0.0)
-
-    if cfg.token_mixer == "attention":
-        z = np.einsum("hnl,hnc->hlc", psi, yh)
-        probs = _np_softmax((z @ w("mix_wq")) @ (z @ w("mix_wk")).transpose(0, 2, 1)
-                            / np.sqrt(ch), axis=-1)             # (H, L, L)
-        kappa = np.einsum("hnl,hlm,hkm->hnk", phi, probs, psi)
-        value_map = w("mix_wv")
-    else:
-        kappa = np.einsum("hnl,hkl->hnk", phi, psi)
-        value_map = np.broadcast_to(np.eye(ch), (h, ch, ch))
-
-    contracted = np.einsum("hnk,hkc->hnc", kappa, yh @ value_map)
-    merged = contracted.transpose(1, 0, 2).reshape(n, cfg.channels)
-    integral = merged @ w("merge_w") + w("merge_b")
-    identity = y * mask[:, None]
-    return KernelOracleResult(kappa, integral, identity, mask)
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -55,10 +55,6 @@ class GridGeometry:
         yy, xx = np.meshgrid(ys, xs, indexing="ij")
         return np.stack([xx, yy], axis=-1)
 
-    @property
-    def n_points(self) -> int:
-        return self.h * self.w
-
 
 @dataclass
 class Trajectory:
@@ -270,6 +266,8 @@ def read_trajectory(path, dt: float = 1.0) -> Trajectory:
         raw = f.read(4 * n)
         if len(raw) < 4 * n:
             raise DataFormatError(f"{path}: truncated frame payload")
+        if f.read(1):
+            raise DataFormatError(f"{path}: trailing bytes after the frame payload")
         frames = np.frombuffer(raw, dtype="<f4", count=n).reshape(t_all, h, w, c)
     return Trajectory(frames.astype(np.float32), float(dt), _KIND_NAMES[kind], seed)
 
@@ -321,18 +319,20 @@ def read_manifest(path) -> DatasetManifest:
             pde_kind=kv["pde_kind"], h=int(kv["h"]), w=int(kv["w"]),
             channels=int(kv["channels"]), t_all=int(kv["t_all"]),
             dt=float(kv["dt"]))
+        for k, v in kv.items():
+            mt = re.fullmatch(r"(\w+)_files", k)
+            if mt:
+                m.files[mt.group(1)] = [s for s in v.split(",") if s]
+            mt = re.fullmatch(r"(\w+)_seeds", k)
+            if mt:
+                m.seeds[mt.group(1)] = [int(s) for s in v.split(",") if s]
+        if "norm_mean" in kv:
+            m.norm_mean = [float(x) for x in kv["norm_mean"].split(",")]
+            m.norm_std = [float(x) for x in kv["norm_std"].split(",")]
     except KeyError as e:
         raise DataFormatError(f"{path}: manifest missing key {e}") from None
-    for k, v in kv.items():
-        mt = re.fullmatch(r"(\w+)_files", k)
-        if mt:
-            m.files[mt.group(1)] = [s for s in v.split(",") if s]
-        mt = re.fullmatch(r"(\w+)_seeds", k)
-        if mt:
-            m.seeds[mt.group(1)] = [int(s) for s in v.split(",") if s]
-    if "norm_mean" in kv:
-        m.norm_mean = [float(x) for x in kv["norm_mean"].split(",")]
-        m.norm_std = [float(x) for x in kv["norm_std"].split(",")]
+    except ValueError as e:
+        raise DataFormatError(f"{path}: bad manifest value: {e}") from None
     return m
 
 
@@ -363,8 +363,14 @@ def read_dataset(path):
     m = read_manifest(manifest_path)
     base = manifest_path.parent
     splits = {}
+    want = (m.t_all, m.h, m.w, m.channels)
     for split, names in m.files.items():
         splits[split] = [read_trajectory(base / n, dt=m.dt) for n in names]
+        for n, traj in zip(names, splits[split]):
+            if traj.frames.shape != want:
+                raise DataFormatError(
+                    f"{base / n}: frames {traj.frames.shape} disagree with the "
+                    f"manifest's (T, H, W, C) {want}")
     return m, splits
 
 

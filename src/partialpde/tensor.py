@@ -131,15 +131,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def is_leaf(self) -> bool:
         return self.requires_grad and self._vjp is None
 
@@ -431,33 +422,6 @@ def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
         return x
     pad = [(0, 0)] * (x.ndim - 2) + [(p, p), (p, p)]
     return np.pad(x, pad)
-
-
-def conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
-    """2D cross-channel convolution, stride 1, zero padding.
-
-    x: (B, C_in, H, W); w: (C_out, C_in, kh, kw) -> (B, C_out, H', W').
-    """
-    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
-        raise ShapeMismatch("conv2d", x.shape, w.shape)
-    kh, kw = w.shape[2], w.shape[3]
-    xp = _pad2d(x.data, padding)
-    if xp.shape[-2] < kh or xp.shape[-1] < kw:
-        raise ShapeMismatch("conv2d", x.shape, w.shape)
-    patches = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-2, -1))
-    data = np.einsum("bchwij,ocij->bohw", patches, w.data, optimize=True)
-
-    def vjp(g):
-        gw = np.einsum("bchwij,bohw->ocij", patches, g, optimize=True)
-        # grad wrt x = full correlation of g with the flipped kernel
-        wflip = w.data[:, :, ::-1, ::-1].swapaxes(0, 1)  # (C_in, C_out, kh, kw)
-        pad = [(0, 0), (0, 0), (kh - 1 - padding,) * 2, (kw - 1 - padding,) * 2]
-        gp = np.pad(g, pad)
-        gpat = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(-2, -1))
-        gx = np.einsum("bohwij,coij->bchw", gpat, wflip, optimize=True)
-        return gx.astype(x.data.dtype, copy=False), gw.astype(w.data.dtype, copy=False)
-
-    return _make(data.astype(x.data.dtype, copy=False), (x, w), vjp)
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import evaluation as ev
 from . import masking as mk
 from . import model as md
+from . import pdegen as pg
 from . import tensor as T
 from .tensor import Tensor
 
@@ -146,10 +148,6 @@ def one_cycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 # -- batching ---------------------------------------------------------------------
 
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
 def make_pairs(n_traj: int, t_all: int, history: int):
     """(trajectory, target_index) rolling windows; one pair per window."""
     if t_all < history + 1:
@@ -172,25 +170,6 @@ class TrainResult:
     epochs_run: int
 
 
-def _relative_l2(pred: np.ndarray, truth: np.ndarray) -> float:
-    denom = float(np.linalg.norm(truth.reshape(-1)))
-    if denom == 0.0:
-        raise ValueError("zero-norm truth in relative L2")
-    return float(np.linalg.norm((pred - truth).reshape(-1)) / denom)
-
-
-def _validate(params, trajs, masks, coords, history) -> float:
-    errs = []
-    with T.no_grad():
-        for traj, mask in zip(trajs, masks):
-            frames = traj.frames[None, :history].astype(np.float32)
-            truth = traj.frames[history].astype(np.float32)
-            pred = md.lano_forward(coords, frames, mask.grid[None].astype(np.float32),
-                                   params)
-            errs.append(_relative_l2(pred.data[0], truth))
-    return float(np.mean(errs))
-
-
 def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
                     model_cfg: md.ModelConfig, train_cfg: TrainConfig,
                     out_dir) -> TrainResult:
@@ -211,16 +190,17 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
     history = model_cfg.history
     t_all = train[0].t_all
     pairs = make_pairs(len(train), t_all, history)
-    coords = _grid_coords(gh, gw)
+    coords = pg.GridGeometry(gh, gw).coords()
 
-    train_masks = [mask_spec.generate(gh, gw, _derived_seed(train_cfg.seed, 1, j))
+    train_masks = [mask_spec.generate(gh, gw, mk.derived_seed(train_cfg.seed, 1, j))
                    for j in range(len(train))]
-    val_masks = [mask_spec.generate(gh, gw, _derived_seed(train_cfg.seed, 2, j))
-                 for j in range(len(val))]
+    val_masks = np.stack([
+        mask_spec.generate(gh, gw, mk.derived_seed(train_cfg.seed, 2, j)).grid
+        for j in range(len(val))]) if val else None
 
-    params = md.ModelParams(model_cfg, seed=_derived_seed(train_cfg.seed, 0))
+    params = md.ModelParams(model_cfg, seed=mk.derived_seed(train_cfg.seed, 0))
     state = TrainState(params)
-    rng = np.random.default_rng(_derived_seed(train_cfg.seed, 3))
+    rng = np.random.default_rng(mk.derived_seed(train_cfg.seed, 3))
 
     steps_per_epoch = max(1, int(np.ceil(len(pairs) / train_cfg.batch_size)))
     total_steps = steps_per_epoch * train_cfg.epochs
@@ -253,8 +233,11 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
                 epoch_losses.append(loss_val)
                 step += 1
 
-            val_err = _validate(params, val, val_masks, coords, history) \
-                if val else float("nan")
+            val_err = float("nan")
+            if val:
+                preds, truths = ev.predict_batch(params, val, val_masks)
+                val_err = float(np.mean([ev.relative_l2(p, t)
+                                         for p, t in zip(preds, truths)]))
             final_val = val_err
             if not val or val_err <= best_val:
                 best_val = val_err if val else float("nan")
@@ -313,18 +296,10 @@ def _train_step(params, state, coords, frames, targets, masks, mask_objs,
     return loss_val
 
 
-def _grid_coords(gh: int, gw: int) -> np.ndarray:
-    ys = np.arange(gh, dtype=np.float64) / gh
-    xs = np.arange(gw, dtype=np.float64) / gw
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    return np.stack([xx, yy], axis=-1).reshape(-1, 2)
-
-
 def train(dataset, mask_spec: MaskSpec, model_cfg: md.ModelConfig,
           train_cfg: TrainConfig, out_dir) -> TrainResult:
     """Train from a dataset directory/manifest written by the generator."""
-    from . import pdegen
-    manifest, splits = pdegen.read_dataset(dataset)
+    manifest, splits = pg.read_dataset(dataset)
     if model_cfg.phys_channels != manifest.channels:
         raise ValueError(
             f"config phys_channels {model_cfg.phys_channels} != dataset "

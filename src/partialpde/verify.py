@@ -5,6 +5,10 @@ Each check re-derives its expected values through an independent route
 compares against the production path.  `run_suite` returns per-check rows
 and writes an optional CSV; any failing check fails the whole suite.
 All properties here are architectural, so a fresh random-init model passes.
+
+The dense kernel oracle (`kernel_oracle`) materializes one layer's
+aggregation/de-aggregation as an explicit low-rank kernel integral, an
+independent numpy route to the propagator branch.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf as _erf
 
 from . import evaluation as ev
 from . import masking as mk
@@ -177,6 +182,100 @@ def check_pointwise_monte_carlo():
     return dev < 0.01, f"mean observed fraction off by {dev:.4f}"
 
 
+# -- dense kernel oracle -------------------------------------------------------
+
+class OracleSizeError(ValueError):
+    pass
+
+
+@dataclass
+class KernelOracleResult:
+    kappa: np.ndarray      # (H, N, N) per-head scalar kernels
+    integral: np.ndarray   # (N, C) brute-force contraction + head merge
+    identity: np.ndarray   # (N, C) residual self-update term (zero when unobserved)
+    mask: np.ndarray       # (N,)
+
+
+def _np_gelu(x):
+    return x * 0.5 * (1.0 + _erf(x * 0.7071067811865476))
+
+
+def _np_softmax(x, axis=-1):
+    z = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
+                  y: np.ndarray, gh: int, gw: int,
+                  max_points: int = 256) -> KernelOracleResult:
+    """Materialize one layer's propagator branch as a dense low-rank kernel.
+
+    Independent numpy re-derivation: aggregation columns (eps-normalization
+    folded in) give the source factors, the row-normalized propagated maps
+    plus head merge give the target factors, and the contraction runs as a
+    dense (N x N) kernel multiply rather than through the token bottleneck.
+    Only mixer "none" (skip) and "attention" (folded as a learned token-to-
+    token transformation) admit the factorization.
+    """
+    cfg = params.config
+    n = gh * gw
+    if n > max_points:
+        raise OracleSizeError(f"{n} points exceeds dense-kernel limit {max_points}")
+    if cfg.token_mixer == "mlp":
+        raise OracleSizeError("mlp token mixer does not fold into the kernel")
+    if cfg.variant != md.VARIANT_REUSE:
+        raise OracleSizeError("kernel oracle targets the reuse decode variant")
+    mask = np.asarray(mask, dtype=np.float64).reshape(n)
+    y = np.asarray(y, dtype=np.float64).reshape(n, cfg.channels)
+    p = f"L{layer}."
+
+    def w(name):
+        return params[p + name].data.astype(np.float64)
+
+    h, ch, l, k = cfg.heads, cfg.head_dim, cfg.latent_tokens, cfg.pconv_kernel
+    yh = y.reshape(n, h, ch).transpose(1, 0, 2)                 # (H, N, C_h)
+
+    logits = _np_gelu(yh @ w("slice_w1") + w("slice_b1")) @ w("slice_w2") \
+        + w("slice_b2")
+    s = _np_softmax(logits / cfg.temperature, axis=-1) * mask[None, :, None]
+    psi = s / (s.sum(axis=1, keepdims=True) + cfg.eps)          # (H, N, L)
+
+    if cfg.boundary_first:
+        grid = s.transpose(0, 2, 1).reshape(h * l, gh, gw)
+        pad = k // 2
+        gp = np.pad(grid, [(0, 0), (pad, pad), (pad, pad)])
+        win = np.lib.stride_tricks.sliding_window_view(gp, (k, k), axis=(1, 2))
+        num = np.einsum("chwij,cij->chw", win, w("pconv_w"))
+        counts = md._window_counts(mask.reshape(gh, gw), k)
+        observed = counts > 0
+        sizes = md._window_sizes(gh, gw, k)
+        factor = np.where(observed, sizes / np.where(observed, counts, 1.0), 0.0)
+        s_next = num * factor + w("pconv_b")[:, None, None] * observed
+        s_next = s_next.reshape(h, l, n).transpose(0, 2, 1)     # (H, N, L)
+    else:
+        s_next = s
+
+    row = s_next.sum(axis=-1, keepdims=True)
+    phi = np.where(row > 0, s_next / np.where(row > 0, row, 1.0), 0.0)
+
+    if cfg.token_mixer == "attention":
+        z = np.einsum("hnl,hnc->hlc", psi, yh)
+        probs = _np_softmax((z @ w("mix_wq")) @ (z @ w("mix_wk")).transpose(0, 2, 1)
+                            / np.sqrt(ch), axis=-1)             # (H, L, L)
+        kappa = np.einsum("hnl,hlm,hkm->hnk", phi, probs, psi)
+        value_map = w("mix_wv")
+    else:
+        kappa = np.einsum("hnl,hkl->hnk", phi, psi)
+        value_map = np.broadcast_to(np.eye(ch), (h, ch, ch))
+
+    contracted = np.einsum("hnk,hkc->hnc", kappa, yh @ value_map)
+    merged = contracted.transpose(1, 0, 2).reshape(n, cfg.channels)
+    integral = merged @ w("merge_w") + w("merge_b")
+    identity = y * mask[:, None]
+    return KernelOracleResult(kappa, integral, identity, mask)
+
+
 # -- model checks --------------------------------------------------------------------
 
 def _oracle_instance(seed, gh=8, gw=8, mixer="none", missing=0.4):
@@ -196,26 +295,23 @@ def _oracle_instance(seed, gh=8, gw=8, mixer="none", missing=0.4):
     return cfg, params, y, mask
 
 
-def _coords(gh, gw):
-    return pg.GridGeometry(gh, gw).coords().reshape(-1, 2)
-
-
 def check_kernel_oracle():
     worst = 0.0
     for seed in range(20):
         gh = gw = (8, 12, 16)[seed % 3]
         _, params, y, mask = _oracle_instance(seed, gh, gw)
-        res = md.kernel_oracle(params, 0, mask, y, gh, gw)
+        res = kernel_oracle(params, 0, mask, y, gh, gw)
+        coords = pg.GridGeometry(gh, gw).coords()
         with T.no_grad():
-            branch, _, _ = md.phlp_branch(Tensor(y[None]), mask[None],
-                                          _coords(gh, gw), params, 0, gh, gw)
+            branch, _, _ = md.phlp_branch(Tensor(y[None]), mask[None], coords,
+                                          params, 0, gh, gw)
         worst = max(worst, np.abs(res.integral - branch.data[0]).max())
     return worst < 1e-6, f"max abs dev over 20 instances {worst:.2e}"
 
 
 def check_kernel_column_support():
     _, params, y, mask = _oracle_instance(77, missing=0.5)
-    res = md.kernel_oracle(params, 0, mask, y, 8, 8)
+    res = kernel_oracle(params, 0, mask, y, 8, 8)
     bad = np.abs(res.kappa[:, :, mask == 0.0]).max(initial=0.0)
     return bad == 0.0, f"max |column| outside observed set {bad:.2e}"
 
@@ -224,10 +320,11 @@ def check_kernel_identity_self_update():
     _, params, y, mask = _oracle_instance(78)
     params["L0.merge_w"].data = np.zeros((16, 16))
     params["L0.merge_b"].data = np.zeros(16)
-    res = md.kernel_oracle(params, 0, mask, y, 8, 8)
+    res = kernel_oracle(params, 0, mask, y, 8, 8)
     with T.no_grad():
         branch, _, _ = md.phlp_branch(Tensor(y[None]), mask[None],
-                                      _coords(8, 8), params, 0, 8, 8)
+                                      pg.GridGeometry(8, 8).coords(), params,
+                                      0, 8, 8)
     layer_out = branch.data[0] + y
     obs = mask == 1.0
     dev = np.abs(layer_out[obs] - (res.integral + res.identity)[obs]).max()
@@ -258,7 +355,8 @@ def check_pconv_full_mask_reduction():
     z = rng.normal(size=(1, 2, 2, 4))
     with T.no_grad():
         got, m_next = md.phca_decode(Tensor(z), Tensor(s_arr), np.ones((1, 36)),
-                                     _coords(gh, gw), params, 0, gh, gw)
+                                     pg.GridGeometry(gh, gw).coords(), params,
+                                     0, gh, gw)
         grid = s_arr.transpose(0, 1, 3, 2).reshape(1, 4, gh, gw)
         conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
     s_next = (conv.data + params["L0.pconv_b"].data[None, :, None, None]) \
@@ -294,7 +392,7 @@ def check_model_gradient_fd():
         for i in range(2):
             params[f"L{i}.merge_w"].data = rng.normal(size=(8, 8)) * 0.2
         gh = gw = 5
-        coords = _coords(gh, gw)
+        coords = pg.GridGeometry(gh, gw).coords()
         frames = rng.normal(size=(1, 2, gh, gw, 1))
         targets = rng.normal(size=(1, gh, gw, 1))
         mask = mk.gen_pointwise_mask(gh, gw, 0.3, seed=3).grid[None].astype(float)
@@ -352,7 +450,7 @@ def check_descent_step():
                          history=2, phys_channels=1, mlp_ratio=1.0)
     params = md.ModelParams(cfg, seed=1)
     state = tr.TrainState(params)
-    coords = _coords(8, 8)
+    coords = pg.GridGeometry(8, 8).coords()
     frames = rng.normal(size=(2, 2, 8, 8, 1))
     targets = rng.normal(size=(2, 8, 8, 1))
     masks = np.ones((2, 8, 8))

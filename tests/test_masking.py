@@ -103,26 +103,6 @@ def test_mpt_same_pattern_family():
     assert h_hat2.pattern == mk.POINTWISE
 
 
-def test_apply_mask_identity_zero_block_idempotent():
-    rng = np.random.default_rng(0)
-    frames = rng.normal(size=(3, 8, 8, 2))
-    ones = mk.ObservationMask(np.ones((8, 8), np.uint8), mk.POINTWISE, 0.0, 0, 0)
-    assert np.array_equal(mk.apply_mask(frames, ones), frames)
-
-    grid = np.ones((8, 8), np.uint8)
-    grid[2:6, 2:6] = 0
-    m = mk.ObservationMask(grid, mk.PATCHWISE, 0.25, 4, 0)
-    masked = mk.apply_mask(frames, m)
-    assert np.all(masked[:, 2:6, 2:6, :] == 0.0)
-    assert np.array_equal(mk.apply_mask(masked, m), masked)
-
-
-def test_apply_mask_shape_mismatch():
-    with pytest.raises(mk.MaskError):
-        mk.apply_mask(np.zeros((2, 8, 8, 1)),
-                      mk.gen_pointwise_mask(4, 4, 0.1, 0))
-
-
 def test_mask_file_round_trip(tmp_path):
     m = mk.gen_patchwise_mask(33, 17, 0.4, 4, seed=123)
     p = tmp_path / "m.pobm"
@@ -150,3 +130,26 @@ def test_mask_file_truncation_and_magic(tmp_path):
     (tmp_path / "p.pobm").write_bytes(raw[:-3])
     with pytest.raises(mk.MaskFormatError):
         mk.read_mask(tmp_path / "p.pobm")
+
+
+def written_mask_bytes(tmp_path):
+    m = mk.gen_pointwise_mask(8, 8, 0.2, seed=0)
+    mk.write_mask(m, tmp_path / "m.pobm")
+    return (tmp_path / "m.pobm").read_bytes()
+
+
+# ends of the magic, version, pattern, rate, patch, seed, h and w fields
+@pytest.mark.parametrize("keep", [0, 4, 8, 9, 13, 15, 23, 25, 27])
+def test_mask_file_truncated_at_each_header_boundary(tmp_path, keep):
+    raw = written_mask_bytes(tmp_path)
+    assert mk._HEADER.size == 27
+    (tmp_path / "t.pobm").write_bytes(raw[:keep])
+    with pytest.raises(mk.MaskFormatError, match="truncated"):
+        mk.read_mask(tmp_path / "t.pobm")
+
+
+def test_mask_file_trailing_bytes_are_rejected(tmp_path):
+    raw = written_mask_bytes(tmp_path)
+    (tmp_path / "x.pobm").write_bytes(raw + b"\x00")
+    with pytest.raises(mk.MaskFormatError, match="trailing"):
+        mk.read_mask(tmp_path / "x.pobm")

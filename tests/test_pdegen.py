@@ -181,6 +181,55 @@ def test_bad_magic(tmp_path):
         pg.read_trajectory(tmp_path / "x.pobd")
 
 
+def written_trajectory_bytes(tmp_path):
+    traj = pg.solve_diffusion_reaction(GRID, seed=4, t_steps=3, dt=0.02)
+    pg.write_trajectory(traj, tmp_path / "t.pobd")
+    return (tmp_path / "t.pobd").read_bytes()
+
+
+# ends of the magic, version, kind, T, H, W and C fields; a header-only
+# file (the end of seed) is tested above
+@pytest.mark.parametrize("keep", [0, 4, 8, 9, 11, 13, 15, 16])
+def test_trajectory_truncated_at_each_header_boundary(tmp_path, keep):
+    raw = written_trajectory_bytes(tmp_path)
+    assert pg._DATA_HEADER.size == 24
+    (tmp_path / "c.pobd").write_bytes(raw[:keep])
+    with pytest.raises(pg.DataFormatError, match="truncated"):
+        pg.read_trajectory(tmp_path / "c.pobd")
+
+
+def test_trajectory_trailing_bytes_are_rejected(tmp_path):
+    raw = written_trajectory_bytes(tmp_path)
+    (tmp_path / "x.pobd").write_bytes(raw + b"\x00" * 4)
+    with pytest.raises(pg.DataFormatError, match="trailing"):
+        pg.read_trajectory(tmp_path / "x.pobd")
+
+
+def write_small_dataset(tmp_path):
+    trajs = {"train": [pg.solve_diffusion_reaction(GRID, seed=s, t_steps=4, dt=0.02)
+                       for s in range(2)]}
+    pg.write_dataset(trajs, tmp_path / "ds")
+    return tmp_path / "ds" / "manifest.txt"
+
+
+@pytest.mark.parametrize("line, garbled", [
+    ("h=32", "h=eight"), ("dt=0.02", "dt=fast"), ("train_seeds=0,1", "train_seeds=0,x")])
+def test_manifest_garbled_number_is_format_error(tmp_path, line, garbled):
+    manifest = write_small_dataset(tmp_path)
+    text = manifest.read_text()
+    assert line in text
+    manifest.write_text(text.replace(line, garbled))
+    with pytest.raises(pg.DataFormatError, match="bad manifest value"):
+        pg.read_manifest(manifest)
+
+
+def test_dataset_frames_disagreeing_with_manifest_are_rejected(tmp_path):
+    manifest = write_small_dataset(tmp_path)
+    manifest.write_text(manifest.read_text().replace("t_all=4", "t_all=5"))
+    with pytest.raises(pg.DataFormatError, match="disagree with the manifest"):
+        pg.read_dataset(manifest.parent)
+
+
 def test_dataset_round_trip_and_manifest(tmp_path):
     trajs = {
         "train": [pg.solve_diffusion_reaction(GRID, seed=s, t_steps=4, dt=0.02)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from partialpde import evaluation as ev
 from partialpde import masking as mk
 from partialpde import model as md
 from partialpde import pdegen as pg
@@ -171,7 +172,7 @@ def test_full_mpt_loss_gradient_matches_finite_differences():
         for i in range(cfg.layers):
             params[f"L{i}.merge_w"].data = rng.normal(size=(8, 8)) * 0.2
         gh = gw = 5
-        coords = tr._grid_coords(gh, gw)
+        coords = pg.GridGeometry(gh, gw).coords()
         frames = rng.normal(size=(1, 2, gh, gw, 1))
         targets = rng.normal(size=(1, gh, gw, 1))
         m = mk.gen_pointwise_mask(gh, gw, 0.3, seed=3).grid[None].astype(float)
@@ -254,6 +255,30 @@ def test_train_runs_and_writes_artifacts(tmp_path):
     assert np.isfinite(res.best_val)
 
 
+def test_final_val_is_mean_relative_l2_of_predict_batch(tmp_path, monkeypatch):
+    calls = []
+    predict_batch = ev.predict_batch
+
+    def recording(params, trajs, masks):
+        out = predict_batch(params, trajs, masks)
+        calls.append((trajs, masks, out))
+        return out
+
+    monkeypatch.setattr(ev, "predict_batch", recording)
+    splits = tiny_dataset(n_train=2, n_val=3)
+    spec = tr.MaskSpec(mk.PATCHWISE, 0.25, 4)
+    tcfg = tr.TrainConfig(epochs=1, batch_size=4, seed=5)
+    res = tr.train_on_splits(splits, (8, 8), spec, tiny_model_cfg(), tcfg,
+                             tmp_path / "run")
+    (trajs, masks, (preds, truths)), = calls
+    assert trajs == splits["val"]
+    want = [spec.generate(8, 8, mk.derived_seed(tcfg.seed, 2, j)).grid
+            for j in range(3)]
+    assert np.array_equal(masks, np.stack(want))
+    errs = [ev.relative_l2(p, t) for p, t in zip(preds, truths)]
+    assert res.final_val == float(np.mean(errs))
+
+
 def test_train_seed_reproducible_metrics(tmp_path):
     splits = tiny_dataset()
     cfg = tiny_model_cfg()
@@ -299,7 +324,7 @@ def test_single_step_descends_on_frozen_batch():
     cfg = tiny_model_cfg(phys_channels=1)
     params = md.ModelParams(cfg, seed=1)
     state = tr.TrainState(params)
-    coords = tr._grid_coords(8, 8)
+    coords = pg.GridGeometry(8, 8).coords()
     frames = rng.normal(size=(4, cfg.history, 8, 8, 1)).astype(np.float32)
     targets = rng.normal(size=(4, 8, 8, 1)).astype(np.float32)
     masks = np.ones((4, 8, 8), dtype=np.float32)

@@ -1,8 +1,9 @@
 import numpy as np
 
-from partialpde import model as md
 from partialpde import tensor as T
 from partialpde import verify as vf
+
+from util import corrupt_decode_normalization
 
 
 def test_run_suite_passes_and_leaves_no_tape_nodes(tmp_path):
@@ -27,11 +28,8 @@ def test_each_check_leaves_the_tape_as_it_found_it(tmp_path):
         assert len(T.active_tape()) == before, name
 
 
-def test_run_suite_catches_corrupted_decode_normalization(tmp_path):
-    md.set_decode_norm_corruption(0.05)
-    try:
-        ok, results = vf.run_suite(groups=("model",), tmp_dir=str(tmp_path))
-    finally:
-        md.set_decode_norm_corruption(0.0)
+def test_run_suite_catches_corrupted_decode_normalization(tmp_path, monkeypatch):
+    corrupt_decode_normalization(monkeypatch)
+    ok, results = vf.run_suite(groups=("model",), tmp_dir=str(tmp_path))
     assert not ok
     assert not {r.name: r.ok for r in results}["kernel_oracle"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from partialpde import tensor as T
+
 
 def central_diff_grad(f, arrays, index, step=1e-5):
     """Central finite-difference gradient of scalar f wrt arrays[index].
@@ -43,3 +45,10 @@ def matmul_triple_loop(a, b):
                 acc += float(a[i, t]) * float(b[t, j])
             out[i, j] = acc
     return out
+
+
+def corrupt_decode_normalization(monkeypatch, offset=0.05):
+    """Fault the decode: every row sum it divides by is off by `offset`."""
+    masked_fill = T.masked_fill
+    monkeypatch.setattr(T, "masked_fill",
+                        lambda *args: masked_fill(*args) + offset)
