@@ -235,9 +235,14 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
 
             val_err = float("nan")
             if val:
-                preds, truths = ev.predict_batch(params, val, val_masks)
-                val_err = float(np.mean([ev.relative_l2(p, t)
-                                         for p, t in zip(preds, truths)]))
+                # one trajectory per forward keeps validation memory flat in
+                # the size of the validation split
+                errs = []
+                for j, traj in enumerate(val):
+                    preds, truths = ev.predict_batch(params, [traj],
+                                                     val_masks[j:j + 1])
+                    errs.append(ev.relative_l2(preds[0], truths[0]))
+                val_err = float(np.mean(errs))
             final_val = val_err
             if not val or val_err <= best_val:
                 best_val = val_err if val else float("nan")

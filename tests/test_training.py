@@ -270,12 +270,12 @@ def test_final_val_is_mean_relative_l2_of_predict_batch(tmp_path, monkeypatch):
     tcfg = tr.TrainConfig(epochs=1, batch_size=4, seed=5)
     res = tr.train_on_splits(splits, (8, 8), spec, tiny_model_cfg(), tcfg,
                              tmp_path / "run")
-    (trajs, masks, (preds, truths)), = calls
-    assert trajs == splits["val"]
+    # one call per validation trajectory, each with that trajectory's mask
+    assert [trajs for trajs, _, _ in calls] == [[t] for t in splits["val"]]
     want = [spec.generate(8, 8, mk.derived_seed(tcfg.seed, 2, j)).grid
             for j in range(3)]
-    assert np.array_equal(masks, np.stack(want))
-    errs = [ev.relative_l2(p, t) for p, t in zip(preds, truths)]
+    assert np.array_equal(np.concatenate([m for _, m, _ in calls]), np.stack(want))
+    errs = [ev.relative_l2(preds[0], truths[0]) for _, _, (preds, truths) in calls]
     assert res.final_val == float(np.mean(errs))
 
 
