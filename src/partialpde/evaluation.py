@@ -11,13 +11,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
-from scipy.interpolate import InterpolatedUnivariateSpline
 
 from . import masking as mk
 from . import model as md
 from . import pdegen as pg
-from . import tensor as T
 
 
 class EvalError(ValueError):
@@ -66,9 +63,21 @@ def predict_batch(params: md.ModelParams, trajs, masks: np.ndarray):
     history = params.config.history
     frames, truths = _first_window_batch(trajs, history)
     coords = pg.GridGeometry(*frames.shape[2:4]).coords()
-    with T.no_grad():
-        pred = md.lano_forward(coords, frames, masks.astype(np.float32), params)
+    pred = md.lano_forward(coords, frames, masks.astype(np.float32), params)
     return pred.data, truths
+
+
+def trajectory_errors(params: md.ModelParams, trajs, masks: np.ndarray) -> list:
+    """Relative L2 of each trajectory's one-step prediction under its mask.
+
+    One forward per trajectory keeps peak memory flat in the number of
+    trajectories; the predictions equal those of one batched forward.
+    """
+    errs = []
+    for traj, mask in zip(trajs, masks):
+        preds, truths = predict_batch(params, [traj], mask[None])
+        errs.append(relative_l2(preds[0], truths[0]))
+    return errs
 
 
 def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
@@ -87,8 +96,7 @@ def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
             mk.gen_mask(pattern, h, w, rate,
                         seed=mk.derived_seed(seed, ri, j), patch_size=patch_size).grid
             for j in range(len(trajs))])
-        preds, truths = predict_batch(params, trajs, masks)
-        errs = [relative_l2(preds[j], truths[j]) for j in range(len(trajs))]
+        errs = trajectory_errors(params, trajs, masks)
         report.rows.append({
             "pattern": pattern,
             "test_rate": rate,
@@ -112,9 +120,13 @@ def evaluate_checkpoint(checkpoint_path, dataset, pattern, test_rates,
 
 
 # -- cubic interpolation fill -----------------------------------------------------
+# scipy.interpolate and scipy.ndimage are slow to import and only this
+# baseline needs them, so the functions below import them on first use.
 
 def _fill_axis(field2d: np.ndarray, observed: np.ndarray, axis: int) -> np.ndarray:
     """1D spline fill along rows (axis=1) or columns (axis=0); NaN elsewhere."""
+    from scipy.interpolate import InterpolatedUnivariateSpline
+
     out = np.full(field2d.shape, np.nan)
     f = field2d if axis == 1 else field2d.T
     obs = observed if axis == 1 else observed.T
@@ -134,6 +146,8 @@ def _fill_axis(field2d: np.ndarray, observed: np.ndarray, axis: int) -> np.ndarr
 
 
 def _nearest_fill(field2d: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    from scipy import ndimage
+
     _, (iy, ix) = ndimage.distance_transform_edt(~observed, return_indices=True)
     return field2d[iy, ix]
 

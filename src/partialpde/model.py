@@ -85,15 +85,6 @@ class ModelConfig:
         return max(1, int(round(self.channels * self.mlp_ratio)))
 
 
-@dataclass
-class LatentState:
-    """Per-layer snapshot: masked attention maps, tokens, current mask."""
-    s: np.ndarray        # (B, H, N, L) after masking
-    z: np.ndarray        # (B, H, L, C_h)
-    mask: np.ndarray     # (B, N) mask seen by the *next* layer
-    layer: int
-
-
 def _param_specs(cfg: ModelConfig):
     """(name, shape, init) triples in checkpoint declaration order."""
     c, h, ch, l, k = (cfg.channels, cfg.heads, cfg.head_dim,
@@ -398,15 +389,13 @@ def phlp_branch(y_norm: Tensor, mask: np.ndarray, coords: np.ndarray,
                 params: ModelParams, layer: int, gh: int, gw: int):
     """The propagator branch on (already normalized) features.
 
-    Returns (branch (B,N,C), mask_next (B,N), state).
+    Returns (branch (B,N,C), mask_next (B,N)).
     """
     cfg = params.config
     yh = _split_heads(y_norm, cfg)
     s, z = phca_encode(yh, mask, params, layer)
     z_mixed = token_mix(z, params, layer)
-    branch, mask_next = phca_decode(z_mixed, s, mask, coords, params, layer, gh, gw)
-    state = LatentState(s.data, z.data, mask_next, layer)
-    return branch, mask_next, state
+    return phca_decode(z_mixed, s, mask, coords, params, layer, gh, gw)
 
 
 def _affine_layernorm(y: Tensor, params: ModelParams, prefix: str) -> Tensor:
@@ -415,21 +404,22 @@ def _affine_layernorm(y: Tensor, params: ModelParams, prefix: str) -> Tensor:
 
 def latent_operator_layer(y: Tensor, mask: np.ndarray, coords: np.ndarray,
                           params: ModelParams, layer: int, gh: int, gw: int):
-    """One residual block: propagator branch then per-point MLP branch."""
-    cfg = params.config
+    """One residual block: propagator branch then per-point MLP branch.
+
+    Returns (y_out (B,N,C), mask_next (B,N)).
+    """
     p = f"L{layer}."
-    branch, mask_next, state = phlp_branch(
+    branch, mask_next = phlp_branch(
         _affine_layernorm(y, params, p + "ln1"), mask, coords, params, layer, gh, gw)
     y_hat = branch + y
     h = _affine_layernorm(y_hat, params, p + "ln2")
     h = T.gelu(T.matmul(h, params[p + "mlp_w1"]) + params[p + "mlp_b1"])
     h = T.matmul(h, params[p + "mlp_w2"]) + params[p + "mlp_b2"]
-    y_out = h + y_hat
-    return y_out, mask_next, state
+    return h + y_hat, mask_next
 
 
 def lano_forward(coords: np.ndarray, frames: np.ndarray, mask: np.ndarray,
-                 params: ModelParams, collect_states: bool = False):
+                 params: ModelParams) -> Tensor:
     """Predict the next frame on the full domain.
 
     coords: (N, 2) or (H, W, 2); frames: (B, T, H, W, C_phys);
@@ -437,8 +427,7 @@ def lano_forward(coords: np.ndarray, frames: np.ndarray, mask: np.ndarray,
     unobserved points are zeroed here, so the output depends only on
     observed values and mask bits.
 
-    Returns prediction (B, H, W, C_phys) as a Tensor; with
-    collect_states=True returns (prediction, [LatentState per layer]).
+    Returns the prediction (B, H, W, C_phys).
     """
     cfg = params.config
     b, _, gh, gw, _ = frames.shape
@@ -450,15 +439,10 @@ def lano_forward(coords: np.ndarray, frames: np.ndarray, mask: np.ndarray,
 
     y = temporal_aggregate(coords, frames, params)
     m_cur = mask_flat
-    states = []
     for layer in range(cfg.layers):
-        y, m_cur, state = latent_operator_layer(y, m_cur, coords, params,
-                                                layer, gh, gw)
-        if collect_states:
-            states.append(state)
+        y, m_cur = latent_operator_layer(y, m_cur, coords, params, layer, gh, gw)
     pred = T.matmul(y, params["out.w"]) + params["out.b"]
-    pred = T.reshape(pred, (b, gh, gw, cfg.phys_channels))
-    return (pred, states) if collect_states else pred
+    return T.reshape(pred, (b, gh, gw, cfg.phys_channels))
 
 
 # -- checkpoints -----------------------------------------------------------------

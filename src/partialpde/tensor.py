@@ -1,10 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values live in numpy buffers; every primitive that touches a tape-attached
-input records a node with its vector-Jacobian product onto the active
-gradient tape.  The tape is define-by-run: backward() replays the recorded
-nodes in exact reverse order of recording, which is a valid reverse
-topological order for any graph built eagerly.
+Values live in numpy buffers.  Recording happens only inside a `tape()`
+block: there every primitive that touches a gradient-requiring input
+records a node with its vector-Jacobian product; outside one nothing is
+recorded and every result is a constant.  The tape is define-by-run:
+backward() replays the recorded nodes in exact reverse order of recording,
+which is a valid reverse topological order for any graph built eagerly.
+The block clears the tape when it exits, also when it raises, so a forward
+that fails before its backward leaves no nodes behind.  Blocks do not nest.
 
 Precision is a process-wide switch: float32 for training, float64 for
 oracle checks (see `precision`).
@@ -13,7 +16,7 @@ oracle checks (see `precision`).
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -66,18 +69,11 @@ class GradientTape:
 
     def __init__(self):
         self._nodes: list[Tensor] = []
-        self.recording = True
+        self.recording = False
 
     def record(self, t: "Tensor") -> None:
         t._node = len(self._nodes)
         self._nodes.append(t)
-
-    def reset(self) -> None:
-        for t in self._nodes:
-            t._parents = ()
-            t._vjp = None
-            t._node = None
-        self._nodes.clear()
 
     def __len__(self):
         return len(self._nodes)
@@ -91,24 +87,34 @@ def active_tape() -> GradientTape:
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Suspend tape recording; results inside are detached constants."""
-    prev = _TAPE.recording
-    _TAPE.recording = False
+def tape():
+    """Record primitives for backward() until the block exits.
+
+    On exit, also by an exception, the tape is cleared: recorded results
+    become constants and their activations are released.
+    """
+    if _TAPE.recording:
+        raise TapeError("a gradient tape is already open")
+    _TAPE.recording = True
     try:
-        yield
+        yield _TAPE
     finally:
-        _TAPE.recording = prev
+        _TAPE.recording = False
+        for t in _TAPE._nodes:
+            t.requires_grad = False
+            t._parents = ()
+            t._vjp = None
+            t._node = None
+        _TAPE._nodes.clear()
 
 
 class Tensor:
     """A dense n-dimensional array, optionally attached to the gradient tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_node")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
-        self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._vjp: Optional[Callable] = None
@@ -518,15 +524,15 @@ def tap_contract(s: Tensor, wz: Tensor, k: int, gh: int, gw: int) -> Tensor:
 # -- backward -----------------------------------------------------------------
 
 def backward(loss: Tensor) -> dict:
-    """Backpropagate from a scalar loss through the active tape.
+    """Backpropagate from a scalar loss through the open tape.
 
-    Returns a map {leaf tensor: gradient array}; every tape-attached leaf
-    appears, with zeros when unreachable from the loss.  The tape is reset.
+    Returns a map {leaf tensor: gradient array}; every leaf the tape
+    recorded appears, with zeros when unreachable from the loss.
     """
     if loss.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad or loss._node is None:
-        raise TapeError("loss is not attached to the gradient tape")
+        raise TapeError("loss was not recorded inside a tape() block")
 
     grads: dict[int, np.ndarray] = {
         id(loss): np.ones_like(loss.data)
@@ -554,9 +560,5 @@ def backward(loss: Tensor) -> dict:
     result: dict[Tensor, np.ndarray] = {}
     for key, leaf in leaves.items():
         g = grads.get(key)
-        if g is None:
-            g = np.zeros_like(leaf.data)
-        leaf.grad = g
-        result[leaf] = g
-    _TAPE.reset()
+        result[leaf] = g if g is not None else np.zeros_like(leaf.data)
     return result

@@ -86,8 +86,9 @@ def masked_one_step_loss(pred: Tensor, target: np.ndarray,
 def consistency_loss(pred_clean, pred_masked: Tensor) -> Tensor:
     """Full-domain mean squared gap between the two prediction branches.
 
-    The clean branch is a fixed target: pass it detached (or as a plain
-    array) so gradient flows only through the masked-input branch.
+    The clean branch is a fixed target: only its values are read, so
+    gradient flows only through the masked-input branch.  `_train_step`
+    computes it before the tape opens, so its forward records nothing.
     """
     clean = pred_clean.data if isinstance(pred_clean, Tensor) else pred_clean
     diff = pred_masked - np.asarray(clean, dtype=pred_masked.dtype)
@@ -235,14 +236,7 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
 
             val_err = float("nan")
             if val:
-                # one trajectory per forward keeps validation memory flat in
-                # the size of the validation split
-                errs = []
-                for j, traj in enumerate(val):
-                    preds, truths = ev.predict_batch(params, [traj],
-                                                     val_masks[j:j + 1])
-                    errs.append(ev.relative_l2(preds[0], truths[0]))
-                val_err = float(np.mean(errs))
+                val_err = float(np.mean(ev.trajectory_errors(params, val, val_masks)))
             final_val = val_err
             if not val or val_err <= best_val:
                 best_val = val_err if val else float("nan")
@@ -274,31 +268,28 @@ def _train_step(params, state, coords, frames, targets, masks, mask_objs,
     if cfg.mpt_enabled:
         aug = np.empty_like(masks)
         for i in range(b):
-            r_max = cfg.mpt_rate if cfg.mpt_rate is not None \
-                else mask_spec.missing_rate
-            rate = float(rng.uniform(0.0, r_max)) if cfg.mpt_rate is None \
-                else float(cfg.mpt_rate)
+            rate = cfg.mpt_rate if cfg.mpt_rate is not None \
+                else rng.uniform(0, mask_spec.missing_rate)
             m_aug, _ = mk.mpt_augment(mask_objs[i], rate,
                                       seed=int(rng.integers(2 ** 32)))
             aug[i] = m_aug.grid
     else:
         aug = masks
 
-    pred = md.lano_forward(coords, frames, aug, params)
-    loss = masked_one_step_loss(pred, targets, masks)
-
     lam = cfg.consistency_weight
-    if cfg.mpt_enabled and lam > 0:
-        with T.no_grad():
-            clean = md.lano_forward(coords, frames, masks, params)
-        loss = loss + consistency_loss(clean, pred) * lam
-
-    loss_val = float(loss.data)
-    grads_by_tensor = T.backward(loss)
+    consistency = cfg.mpt_enabled and lam > 0
+    # the clean forward is only a consistency target: run it before the tape
+    clean = md.lano_forward(coords, frames, masks, params) if consistency else None
+    with T.tape():
+        pred = md.lano_forward(coords, frames, aug, params)
+        loss = masked_one_step_loss(pred, targets, masks)
+        if consistency:
+            loss = loss + consistency_loss(clean, pred) * lam
+        grads_by_tensor = T.backward(loss)
     grads = {name: grads_by_tensor[t] for name, t in params.items()
              if t in grads_by_tensor}
     adamw_step(state, grads, lr, cfg)
-    return loss_val
+    return float(loss.data)
 
 
 def train(dataset, mask_spec: MaskSpec, model_cfg: md.ModelConfig,

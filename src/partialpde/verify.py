@@ -79,16 +79,15 @@ def check_mlp_gradient_fd():
         out = h @ ws[4] + ws[5]
         return (out * out).sum() * 0.5
 
-    loss = forward()
-    grads = T.backward(loss)
+    with T.tape():
+        grads = T.backward(forward())
     worst = 0.0
     for w in ws:
         def f():
-            with T.no_grad():
-                return float(forward().data)
+            return float(forward().data)
         idxs = range(min(6, w.size))
         fd = _fd_grad(f, w.data, idxs)
-        an = w.grad.reshape(-1)[list(idxs)]
+        an = grads[w].reshape(-1)[list(idxs)]
         scale = max(np.abs(fd).max(), np.abs(an).max(), 1e-8)
         worst = max(worst, np.abs(fd - an).max() / scale)
     return worst < 1e-6, f"max rel err {worst:.2e}"
@@ -302,9 +301,8 @@ def check_kernel_oracle():
         _, params, y, mask = _oracle_instance(seed, gh, gw)
         res = kernel_oracle(params, 0, mask, y, gh, gw)
         coords = pg.GridGeometry(gh, gw).coords()
-        with T.no_grad():
-            branch, _, _ = md.phlp_branch(Tensor(y[None]), mask[None], coords,
-                                          params, 0, gh, gw)
+        branch, _ = md.phlp_branch(Tensor(y[None]), mask[None], coords,
+                                   params, 0, gh, gw)
         worst = max(worst, np.abs(res.integral - branch.data[0]).max())
     return worst < 1e-6, f"max abs dev over 20 instances {worst:.2e}"
 
@@ -321,10 +319,8 @@ def check_kernel_identity_self_update():
     params["L0.merge_w"].data = np.zeros((16, 16))
     params["L0.merge_b"].data = np.zeros(16)
     res = kernel_oracle(params, 0, mask, y, 8, 8)
-    with T.no_grad():
-        branch, _, _ = md.phlp_branch(Tensor(y[None]), mask[None],
-                                      pg.GridGeometry(8, 8).coords(), params,
-                                      0, 8, 8)
+    branch, _ = md.phlp_branch(Tensor(y[None]), mask[None],
+                               pg.GridGeometry(8, 8).coords(), params, 0, 8, 8)
     layer_out = branch.data[0] + y
     obs = mask == 1.0
     dev = np.abs(layer_out[obs] - (res.integral + res.identity)[obs]).max()
@@ -353,12 +349,11 @@ def check_pconv_full_mask_reduction():
     gh = gw = 6
     s_arr = rng.random((1, 2, 36, 2))
     z = rng.normal(size=(1, 2, 2, 4))
-    with T.no_grad():
-        got, m_next = md.phca_decode(Tensor(z), Tensor(s_arr), np.ones((1, 36)),
-                                     pg.GridGeometry(gh, gw).coords(), params,
-                                     0, gh, gw)
-        grid = s_arr.transpose(0, 1, 3, 2).reshape(1, 4, gh, gw)
-        conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
+    got, m_next = md.phca_decode(Tensor(z), Tensor(s_arr), np.ones((1, 36)),
+                                 pg.GridGeometry(gh, gw).coords(), params,
+                                 0, gh, gw)
+    grid = s_arr.transpose(0, 1, 3, 2).reshape(1, 4, gh, gw)
+    conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
     s_next = (conv.data + params["L0.pconv_b"].data[None, :, None, None]) \
         .reshape(1, 2, 2, 36).transpose(0, 1, 3, 2)
     out_h = s_next / s_next.sum(axis=-1, keepdims=True) @ z       # (1, H, N, C_h)
@@ -376,8 +371,7 @@ def check_single_token_closed_forms():
     n = 16
     yh = rng.normal(size=(1, 2, n, 4))
     mask = (rng.random((1, n)) > 0.4).astype(np.float64)
-    with T.no_grad():
-        _, z = md.phca_encode(Tensor(yh), mask, params, 0)
+    _, z = md.phca_encode(Tensor(yh), mask, params, 0)
     want = (yh * mask[:, None, :, None]).sum(axis=2) / (mask.sum() + cfg.eps)
     dev = np.abs(z.data[:, :, 0, :] - want).max()
     return dev < 1e-12, f"single-token aggregation dev {dev:.2e}"
@@ -401,11 +395,11 @@ def check_model_gradient_fd():
             pred = md.lano_forward(coords, frames, mask, params)
             return tr.masked_one_step_loss(pred, targets, mask)
 
-        grads = T.backward(loss_t())
+        with T.tape():
+            grads = T.backward(loss_t())
 
         def f():
-            with T.no_grad():
-                return float(loss_t().data)
+            return float(loss_t().data)
 
         worst = 0.0
         rng2 = np.random.default_rng(2)
@@ -456,13 +450,13 @@ def check_descent_step():
     masks = np.ones((2, 8, 8))
 
     def loss_value():
-        with T.no_grad():
-            pred = md.lano_forward(coords, frames, masks, params)
-            return float(tr.masked_one_step_loss(pred, targets, masks).data)
+        pred = md.lano_forward(coords, frames, masks, params)
+        return float(tr.masked_one_step_loss(pred, targets, masks).data)
 
     before = loss_value()
-    pred = md.lano_forward(coords, frames, masks, params)
-    grads_t = T.backward(tr.masked_one_step_loss(pred, targets, masks))
+    with T.tape():
+        pred = md.lano_forward(coords, frames, masks, params)
+        grads_t = T.backward(tr.masked_one_step_loss(pred, targets, masks))
     grads = {n: grads_t[t] for n, t in params.items() if t in grads_t}
     tr.adamw_step(state, grads, lr=1e-6, cfg=tr.TrainConfig(weight_decay=0.0))
     after = loss_value()

@@ -1,0 +1,56 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import partialpde
+from partialpde import evaluation as ev
+from partialpde import masking as mk
+from partialpde import model as md
+from partialpde import pdegen as pg
+
+
+def test_evaluate_runs_one_forward_per_trajectory_and_rate(monkeypatch):
+    grid = pg.GridGeometry(8, 8)
+    trajs = [pg.solve_diffusion_reaction(grid, seed=s, t_steps=3, dt=0.02)
+             for s in range(3)]
+    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
+                         history=2, phys_channels=2, mlp_ratio=1.0)
+    params = md.ModelParams(cfg, seed=0)
+    # a nonzero merge makes the prediction depend on the mask
+    params["L0.merge_w"].data = np.random.default_rng(1).normal(
+        size=(8, 8)).astype(np.float32)
+    rates, seed = (0.1, 0.4), 3
+
+    calls = []
+    predict_batch = ev.predict_batch
+
+    def recording(params, trajs, masks):
+        calls.append(trajs)
+        return predict_batch(params, trajs, masks)
+
+    monkeypatch.setattr(ev, "predict_batch", recording)
+    report = ev.evaluate(params, trajs, mk.POINTWISE, rates, seed=seed)
+    monkeypatch.undo()
+
+    assert calls == [[t] for _ in rates for t in trajs]
+    for ri, (rate, row) in enumerate(zip(rates, report.rows)):
+        masks = np.stack([
+            mk.gen_mask(mk.POINTWISE, 8, 8, rate, seed=mk.derived_seed(seed, ri, j)).grid
+            for j in range(len(trajs))])
+        preds, truths = ev.predict_batch(params, trajs, masks)
+        errs = [ev.relative_l2(preds[j], truths[j]) for j in range(len(trajs))]
+        assert row["mean_rel_l2"] == float(np.mean(errs))
+        assert row["std_rel_l2"] == float(np.std(errs))
+        assert row["n_samples"] == len(trajs)
+
+
+def test_importing_the_cli_leaves_interpolation_modules_unloaded():
+    src = Path(partialpde.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import partialpde.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.ndimage') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -15,7 +15,6 @@ from util import corrupt_decode_normalization
 def float64_mode():
     with T.precision(np.float64):
         yield
-    T.active_tape().reset()
 
 
 def small_config(**kw):
@@ -89,11 +88,10 @@ def test_encode_rows_are_probabilities_then_masked_zero():
     mask[0, :5] = 0.0
 
     # pre-mask: rows sum to one
-    with T.no_grad():
-        p = f"L0."
-        hidden = T.gelu(T.matmul(yh, params[p + "slice_w1"]) + params[p + "slice_b1"])
-        logits = T.matmul(hidden, params[p + "slice_w2"]) + params[p + "slice_b2"]
-        pre = T.softmax(logits * (1.0 / cfg.temperature), axis=-1)
+    p = f"L0."
+    hidden = T.gelu(T.matmul(yh, params[p + "slice_w1"]) + params[p + "slice_b1"])
+    logits = T.matmul(hidden, params[p + "slice_w2"]) + params[p + "slice_b2"]
+    pre = T.softmax(logits * (1.0 / cfg.temperature), axis=-1)
     assert np.abs(pre.data.sum(-1) - 1.0).max() < 1e-5
 
     s, z = md.phca_encode(yh, mask, params, 0)
@@ -173,9 +171,8 @@ def decode_from_maps(s_next, z, params):
 
 
 def fused_decode(z, s, mask, params, gh, gw):
-    with T.no_grad():
-        out, m_next = md.phca_decode(Tensor(z), Tensor(s), mask, grid_coords(gh, gw),
-                                     params, 0, gh, gw)
+    out, m_next = md.phca_decode(Tensor(z), Tensor(s), mask, grid_coords(gh, gw),
+                                 params, 0, gh, gw)
     return out.data, m_next
 
 
@@ -193,8 +190,7 @@ def test_pconv_full_mask_equals_standard_convolution():
     # oracle: plain depthwise convolution + bias (renormalization factor 1)
     hl = cfg.heads * cfg.latent_tokens
     grid = s_arr.transpose(0, 1, 3, 2).reshape(1, hl, gh, gw)
-    with T.no_grad():
-        conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
+    conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
     s_next = (conv.data + params["L0.pconv_b"].data[None, :, None, None]) \
         .reshape(1, cfg.heads, cfg.latent_tokens, -1).transpose(0, 1, 3, 2)
     assert np.abs(got - decode_from_maps(s_next, z, params)).max() < 1e-12
@@ -401,24 +397,35 @@ def test_layer_residual_identity_at_init():
     params = md.ModelParams(cfg, seed=9)
     coords, frames, mask = random_inputs(cfg, 4, 4, seed=1)
     y0 = md.temporal_aggregate(coords, frames, params)
-    y1, m1, _ = md.latent_operator_layer(y0, mask.reshape(1, -1), coords,
-                                         params, 0, 4, 4)
-    with T.no_grad():
-        h = md._affine_layernorm(y0, params, "L0.ln2")
-        h = T.gelu(T.matmul(h, params["L0.mlp_w1"]) + params["L0.mlp_b1"])
-        h = T.matmul(h, params["L0.mlp_w2"]) + params["L0.mlp_b2"]
+    y1, _ = md.latent_operator_layer(y0, mask.reshape(1, -1), coords,
+                                     params, 0, 4, 4)
+    h = md._affine_layernorm(y0, params, "L0.ln2")
+    h = T.gelu(T.matmul(h, params["L0.mlp_w1"]) + params["L0.mlp_b1"])
+    h = T.matmul(h, params["L0.mlp_w2"]) + params["L0.mlp_b2"]
     assert np.abs(y1.data - (y0.data + h.data)).max() < 1e-10
+
+
+def layer_masks(coords, frames, mask, params):
+    """The mask each layer hands to the next, chaining the layers as
+    `lano_forward` does."""
+    b, _, gh, gw, _ = frames.shape
+    m = mask.reshape(b, gh * gw)
+    y = md.temporal_aggregate(coords, frames * m.reshape(b, 1, gh, gw, 1), params)
+    masks = []
+    for layer in range(params.config.layers):
+        y, m = md.latent_operator_layer(y, m, coords, params, layer, gh, gw)
+        masks.append(m)
+    return masks
 
 
 def test_layer_mask_monotone_nondecreasing():
     cfg = small_config(layers=4)
     params = md.ModelParams(cfg, seed=10)
     coords, frames, mask = random_inputs(cfg, 8, 8, seed=2, missing=0.6)
-    _, states = md.lano_forward(coords, frames, mask, params, collect_states=True)
     prev = mask.reshape(1, -1)
-    for st in states:
-        assert np.all(st.mask >= prev)
-        prev = st.mask
+    for m_next in layer_masks(coords, frames, mask, params):
+        assert np.all(m_next >= prev)
+        prev = m_next
 
 
 def test_forward_shape_any_missing_rate():
@@ -458,10 +465,9 @@ def test_forward_coverage_32x32_patch4_quarter_missing():
     m = mk.gen_patchwise_mask(32, 32, 0.25, 4, seed=0)
     rng = np.random.default_rng(7)
     frames = rng.normal(size=(1, cfg.history, 32, 32, 1))
-    _, states = md.lano_forward(grid_coords(32, 32), frames,
-                                m.grid[None].astype(np.float64), params,
-                                collect_states=True)
-    assert np.all(states[-1].mask == 1.0)
+    masks = layer_masks(grid_coords(32, 32), frames,
+                        m.grid[None].astype(np.float64), params)
+    assert np.all(masks[-1] == 1.0)
     # simulation oracle agrees
     sim = md.propagate_mask_grid(m.grid.astype(np.float64), 3, 8)
     assert np.all(sim == 1.0)
@@ -471,11 +477,9 @@ def test_without_boundary_first_mask_frozen():
     cfg = small_config(boundary_first=False)
     params = md.ModelParams(cfg, seed=15)
     coords, frames, mask = random_inputs(cfg, 6, 6, seed=5, missing=0.5)
-    pred, states = md.lano_forward(coords, frames, mask, params,
-                                   collect_states=True)
-    for st in states:
-        assert np.array_equal(st.mask, mask.reshape(1, -1))
-    assert pred.shape == (1, 6, 6, 1)
+    for m_next in layer_masks(coords, frames, mask, params):
+        assert np.array_equal(m_next, mask.reshape(1, -1))
+    assert md.lano_forward(coords, frames, mask, params).shape == (1, 6, 6, 1)
 
 
 def test_forward_makes_no_depthwise_conv_call(monkeypatch):
@@ -487,9 +491,9 @@ def test_forward_makes_no_depthwise_conv_call(monkeypatch):
     cfg = small_config()
     params = md.ModelParams(cfg, seed=16)
     coords, frames, mask = random_inputs(cfg, 6, 5, seed=6)
-    md.lano_forward(coords, frames, mask, params)
-    with T.no_grad():
+    with T.tape():
         md.lano_forward(coords, frames, mask, params)
+    md.lano_forward(coords, frames, mask, params)
 
 
 def test_grad_forward_keeps_no_conv_grid_on_tape():
@@ -497,11 +501,11 @@ def test_grad_forward_keeps_no_conv_grid_on_tape():
     params = md.ModelParams(cfg, seed=17)
     gh, gw, b = 6, 5, 2
     coords, frames, mask = random_inputs(cfg, gh, gw, b=b, seed=7)
-    md.lano_forward(coords, frames, mask, params)
-    tape = T.active_tape()
-    assert len(tape) > 0
     grid = (b, cfg.heads * cfg.latent_tokens, gh, gw)
-    assert all(t.shape != grid for t in tape._nodes)
+    with T.tape() as tape:
+        md.lano_forward(coords, frames, mask, params)
+        assert len(tape) > 0
+        assert all(t.shape != grid for t in tape._nodes)
 
 
 # -- kernel oracle -------------------------------------------------------------------
@@ -527,9 +531,8 @@ def oracle_instance(cfg, gh, gw, seed, missing=0.4, pattern="point"):
 
 
 def phlp_branch_output(params, y, mask, gh, gw):
-    with T.no_grad():
-        branch, _, _ = md.phlp_branch(Tensor(y[None]), mask[None],
-                                      grid_coords(gh, gw), params, 0, gh, gw)
+    branch, _ = md.phlp_branch(Tensor(y[None]), mask[None],
+                               grid_coords(gh, gw), params, 0, gh, gw)
     return branch.data[0]
 
 

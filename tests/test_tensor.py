@@ -13,7 +13,6 @@ from util import central_diff_grad, matmul_triple_loop, rel_err
 def float64_mode():
     with T.precision(np.float64):
         yield
-    T.active_tape().reset()
 
 
 def param(arr):
@@ -56,54 +55,98 @@ def test_matmul_shape_error_names_primitive():
 
 def test_backward_sum_gives_ones():
     x = param(np.arange(5.0))
-    grads = T.backward(x.sum())
+    with T.tape():
+        grads = T.backward(x.sum())
     assert np.array_equal(grads[x], np.ones(5))
 
 
 def test_backward_half_square_gives_x():
     x = param([1.0, -2.0, 3.0])
-    loss = (x * x).sum() * 0.5
-    grads = T.backward(loss)
+    with T.tape():
+        grads = T.backward((x * x).sum() * 0.5)
     assert np.allclose(grads[x], x.data)
 
 
 def test_backward_requires_scalar():
     x = param([1.0, 2.0])
-    with pytest.raises(T.TapeError):
+    with T.tape(), pytest.raises(T.TapeError, match="scalar"):
         T.backward(x * 2.0)
+
+
+def test_backward_outside_a_tape_is_rejected():
+    x = param([1.0, 2.0])
+    with pytest.raises(T.TapeError, match="tape"):
+        T.backward(x.sum())
 
 
 def test_unused_leaf_gets_zero_gradient():
     x = param([1.0, 2.0])
     y = param([3.0])
-    _ = y * 2.0          # recorded but not part of the loss
-    loss = x.sum()
-    grads = T.backward(loss)
+    with T.tape():
+        _ = y * 2.0          # recorded but not part of the loss
+        grads = T.backward(x.sum())
     assert np.array_equal(grads[y], np.zeros(1))
     assert np.array_equal(grads[x], np.ones(2))
 
 
 def test_shared_subexpression_accumulates():
     x = param([2.0])
-    y = x * x + x * 3.0
-    grads = T.backward(y.sum())
+    with T.tape():
+        y = x * x + x * 3.0
+        grads = T.backward(y.sum())
     assert np.allclose(grads[x], 2 * x.data + 3.0)
 
 
 def test_detached_tensor_never_receives_gradient():
-    # a tensor built from another's buffer is a constant off the tape
+    # a tensor built from another's buffer is a constant on the tape
     x = param([1.0, 2.0])
     d = Tensor(x.data)
-    loss = (d * 2.0).sum()
-    assert not loss.requires_grad
-    assert d.grad is None
+    with T.tape():
+        assert not (d * 2.0).sum().requires_grad
+        grads = T.backward((d * x).sum())
+    assert list(grads) == [x]
 
 
-def test_no_grad_suppresses_recording():
+def test_outside_a_tape_nothing_records():
     x = param([1.0, 2.0])
-    with T.no_grad():
-        y = x * 4.0
+    y = x * 4.0
     assert not y.requires_grad
+    assert len(T.active_tape()) == 0 and not T.active_tape().recording
+
+
+def test_tape_clears_on_exit_and_detaches_its_results():
+    x = param([1.0, 2.0])
+    with T.tape() as tape:
+        assert tape is T.active_tape() and tape.recording
+        y = x * 4.0
+        assert y.requires_grad and len(tape) == 1
+    assert len(tape) == 0 and not tape.recording
+    assert not y.requires_grad      # a constant now, not a leaf
+    with T.tape():
+        grads = T.backward((y * x).sum())
+    assert list(grads) == [x]
+    assert np.array_equal(grads[x], y.data)
+
+
+def test_tape_clears_when_the_block_raises():
+    x = param([1.0, 2.0])
+    with pytest.raises(ZeroDivisionError):
+        with T.tape():
+            _ = x * 3.0
+            raise ZeroDivisionError
+    assert len(T.active_tape()) == 0 and not T.active_tape().recording
+
+
+def test_nested_tape_is_rejected_and_leaves_the_outer_one_open():
+    x = param([1.0, 2.0])
+    with T.tape() as tape:
+        _ = x * 2.0
+        with pytest.raises(T.TapeError, match="already open"):
+            with T.tape():
+                pass
+        assert tape.recording and len(tape) == 1
+        grads = T.backward((x * x).sum())
+    assert np.array_equal(grads[x], 2 * x.data)
     assert len(T.active_tape()) == 0
 
 
@@ -122,14 +165,12 @@ def test_mlp_gradients_match_finite_differences():
     x = rng.normal(size=(3, 4))
 
     params = [param(a) for a in arrays]
-    loss = mlp_forward(params, Tensor(x))
-    grads = T.backward(loss)
+    with T.tape():
+        grads = T.backward(mlp_forward(params, Tensor(x)))
 
     def f(arrs):
         ps = [Tensor(a) for a in arrs]
-        with T.no_grad():
-            val = mlp_forward(ps, Tensor(x))
-        return float(val.data)
+        return float(mlp_forward(ps, Tensor(x)).data)
 
     for i, p in enumerate(params):
         fd = central_diff_grad(f, [a.copy() for a in arrays], i, step=1e-5)
@@ -157,19 +198,18 @@ def test_primitive_gradients_match_finite_differences(name, fn, nargs):
     # for layernorm leaves central differences dominated by roundoff
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     arrays = [rng.normal(size=12) for _ in range(nargs)]
-    with T.no_grad():
-        cot = rng.normal(size=fn(*[Tensor(a) for a in arrays]).shape)
+    cot = rng.normal(size=fn(*[Tensor(a) for a in arrays]).shape)
 
     def run(arrs, grad=False):
         ps = [Tensor(a, requires_grad=grad) for a in arrs]
         return ps, (fn(*ps) * cot).sum()
 
-    ps, loss = run(arrays, grad=True)
-    grads = T.backward(loss)
+    with T.tape():
+        ps, loss = run(arrays, grad=True)
+        grads = T.backward(loss)
 
     def f(arrs):
-        with T.no_grad():
-            _, val = run(arrs)
+        _, val = run(arrs)
         return float(val.data)
 
     for i, p in enumerate(ps):
@@ -183,14 +223,13 @@ def test_softmax_gradient_bounded_logits():
     z = rng.uniform(-5, 5, size=(2, 6))
 
     def f(arrs):
-        with T.no_grad():
-            s = T.softmax(Tensor(arrs[0]), axis=-1)
-            val = (s * s).sum() * 0.5
-        return float(val.data)
+        s = T.softmax(Tensor(arrs[0]), axis=-1)
+        return float(((s * s).sum() * 0.5).data)
 
     x = param(z)
-    s = T.softmax(x, axis=-1)
-    grads = T.backward((s * s).sum() * 0.5)
+    with T.tape():
+        s = T.softmax(x, axis=-1)
+        grads = T.backward((s * s).sum() * 0.5)
     fd = central_diff_grad(f, [z.copy()], 0, step=1e-5)
     assert rel_err(grads[x], fd) < 1e-4
 
@@ -198,8 +237,9 @@ def test_softmax_gradient_bounded_logits():
 def test_masked_fill_blocks_gradient():
     x = param([1.0, 2.0, 3.0, 4.0])
     mask = np.array([False, True, False, True])
-    y = T.masked_fill(x, mask, 0.0)
-    grads = T.backward((y * y).sum() * 0.5)
+    with T.tape():
+        y = T.masked_fill(x, mask, 0.0)
+        grads = T.backward((y * y).sum() * 0.5)
     assert np.allclose(grads[x], np.where(mask, 0.0, x.data))
     assert np.allclose(y.data, [1.0, 0.0, 3.0, 0.0])
 
@@ -210,7 +250,9 @@ def test_depthwise_conv2d_matches_conv2d_and_gradients():
     w = rng.normal(size=(5, 3, 3))
 
     xt, wt = param(x), param(w)
-    out = T.depthwise_conv2d(xt, wt, padding=1)
+    with T.tape():
+        out = T.depthwise_conv2d(xt, wt, padding=1)
+        grads = T.backward((out * out).sum() * 0.5)
 
     # oracle: full cross-channel convolution with block-diagonal weights
     wfull = np.zeros((5, 5, 3, 3))
@@ -221,13 +263,9 @@ def test_depthwise_conv2d_matches_conv2d_and_gradients():
     want = np.einsum("bchwij,ocij->bohw", patches, wfull)
     assert rel_err(out.data, want) < 1e-12
 
-    grads = T.backward((out * out).sum() * 0.5)
-
     def f(arrs):
-        with T.no_grad():
-            o = T.depthwise_conv2d(Tensor(arrs[0]), Tensor(arrs[1]), padding=1)
-            val = (o * o).sum() * 0.5
-        return float(val.data)
+        o = T.depthwise_conv2d(Tensor(arrs[0]), Tensor(arrs[1]), padding=1)
+        return float(((o * o).sum() * 0.5).data)
 
     for i, p in enumerate([xt, wt]):
         fd = central_diff_grad(f, [x.copy(), w.copy()], i, step=1e-5)
@@ -288,11 +326,11 @@ def test_tap_contract_gradients_match_finite_differences(k, gh, gw):
     cot = rng.normal(size=(1, 2, c, gh * gw))
 
     st, wzt = param(s), param(wz)
-    grads = T.backward((T.tap_contract(st, wzt, k, gh, gw) * cot).sum())
+    with T.tape():
+        grads = T.backward((T.tap_contract(st, wzt, k, gh, gw) * cot).sum())
 
     def f(arrs):
-        with T.no_grad():
-            o = T.tap_contract(Tensor(arrs[0]), Tensor(arrs[1]), k, gh, gw)
+        o = T.tap_contract(Tensor(arrs[0]), Tensor(arrs[1]), k, gh, gw)
         return float((o.data * cot).sum())
 
     for i, p in enumerate([st, wzt]):
@@ -310,7 +348,8 @@ def test_tap_contract_rejects_mismatched_grid():
 def test_broadcast_gradients():
     a = param(np.ones((3, 4)))
     b = param(np.full((1, 4), 2.0))
-    grads = T.backward((a * b).sum())
+    with T.tape():
+        grads = T.backward((a * b).sum())
     assert grads[a].shape == (3, 4)
     assert grads[b].shape == (1, 4)
     assert np.allclose(grads[b], 3.0)
@@ -321,8 +360,7 @@ def test_forward_determinism_same_seed():
         rng = np.random.default_rng(42)
         x = Tensor(rng.normal(size=(8, 8)))
         w = Tensor(rng.normal(size=(8, 8)))
-        with T.no_grad():
-            y = T.gelu(T.softmax(T.matmul(x, w), axis=-1)).sum()
+        y = T.gelu(T.softmax(T.matmul(x, w), axis=-1)).sum()
         return y.data.copy()
 
     assert np.array_equal(run(), run())

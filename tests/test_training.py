@@ -10,12 +10,6 @@ from partialpde import training as tr
 from partialpde.tensor import Tensor
 
 
-@pytest.fixture(autouse=True)
-def reset_tape():
-    yield
-    T.active_tape().reset()
-
-
 # -- losses ------------------------------------------------------------------------
 
 def test_loss_zero_when_exact():
@@ -57,8 +51,8 @@ def test_loss_gradient_confined_to_observed_points():
     mask[0, 0, 0] = 1.0
     pred = Tensor(rng.normal(size=(1, 4, 4, 1)), requires_grad=True)
     target = rng.normal(size=(1, 4, 4, 1))
-    loss = tr.masked_one_step_loss(pred, target, mask)
-    grads = T.backward(loss)
+    with T.tape():
+        grads = T.backward(tr.masked_one_step_loss(pred, target, mask))
     g = grads[pred][0, ..., 0]
     assert np.all(g[mask[0] == 0.0] == 0.0)
     assert np.any(g[mask[0] == 1.0] != 0.0)
@@ -66,9 +60,8 @@ def test_loss_gradient_confined_to_observed_points():
     # perturbing the target at unobserved points leaves the loss unchanged
     target2 = target.copy()
     target2[0, mask[0] == 0.0] += 123.0
-    with T.no_grad():
-        a = tr.masked_one_step_loss(Tensor(pred.data), target, mask)
-        b = tr.masked_one_step_loss(Tensor(pred.data), target2, mask)
+    a = tr.masked_one_step_loss(Tensor(pred.data), target, mask)
+    b = tr.masked_one_step_loss(Tensor(pred.data), target2, mask)
     assert float(a.data) == float(b.data)
 
 
@@ -85,13 +78,11 @@ def test_consistency_constant_offset():
 
 def test_consistency_gradient_only_through_masked_branch():
     clean = Tensor(np.zeros((2, 2, 2, 1)), requires_grad=True)
-    with T.no_grad():
-        clean_eval = Tensor(clean.data)
     masked = Tensor(np.ones((2, 2, 2, 1)), requires_grad=True)
-    loss = tr.consistency_loss(clean_eval, masked)
-    grads = T.backward(loss)
+    with T.tape():
+        grads = T.backward(tr.consistency_loss(clean, masked))
     assert masked in grads and np.any(grads[masked] != 0.0)
-    assert clean not in grads  # never entered the tape
+    assert clean not in grads  # only its values are read
 
 
 # -- optimizer ----------------------------------------------------------------------
@@ -181,18 +172,15 @@ def test_full_mpt_loss_gradient_matches_finite_differences():
             0.2, seed=4)
         aug = m_aug.grid[None].astype(float)
 
-        with T.no_grad():
-            clean = md.lano_forward(coords, frames, m, params).data.copy()
+        clean = md.lano_forward(coords, frames, m, params).data.copy()
 
-        loss = mpt_loss_for_grad(params, coords, frames, targets, m, aug,
-                                 clean, 0.1)
-        grads = T.backward(loss)
+        with T.tape():
+            grads = T.backward(mpt_loss_for_grad(params, coords, frames, targets,
+                                                 m, aug, clean, 0.1))
 
         def f(_):
-            with T.no_grad():
-                val = mpt_loss_for_grad(params, coords, frames, targets, m,
-                                        aug, clean, 0.1)
-            return float(val.data)
+            return float(mpt_loss_for_grad(params, coords, frames, targets, m,
+                                           aug, clean, 0.1).data)
 
         step = 1e-5
         checked = 0
@@ -279,6 +267,61 @@ def test_final_val_is_mean_relative_l2_of_predict_batch(tmp_path, monkeypatch):
     assert res.final_val == float(np.mean(errs))
 
 
+def test_training_step_records_only_the_grad_forward(tmp_path, monkeypatch):
+    # what a tracer reads: T.active_tape().recording labels each forward
+    # grad or no-grad, and len(T.active_tape()) at backward is the step's
+    # tape size
+    events = []
+
+    def spy(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            tape = T.active_tape()
+            events.append((name, tape.recording, len(tape)))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(T, "backward")
+    spy(md, "lano_forward")
+    spy(ev, "predict_batch")
+    splits = tiny_dataset(n_train=1, n_val=1)      # two pairs: one step
+    tr.train_on_splits(splits, (8, 8), tr.MaskSpec(mk.PATCHWISE, 0.25, 4),
+                       tiny_model_cfg(), tr.TrainConfig(epochs=1, batch_size=4),
+                       tmp_path / "run")
+    assert [(name, rec) for name, rec, _ in events] == [
+        ("lano_forward", False),        # clean consistency target
+        ("lano_forward", True),         # the differentiated forward
+        ("backward", True),
+        ("predict_batch", False),       # validation
+        ("lano_forward", False),
+    ]
+    assert events[2][2] > 0
+    assert len(T.active_tape()) == 0
+
+
+def test_raising_grad_forward_leaves_nothing_for_the_next_backward():
+    cfg = tiny_model_cfg(phys_channels=1)
+    params = md.ModelParams(cfg, seed=2)
+    rng = np.random.default_rng(9)
+    coords = pg.GridGeometry(8, 8).coords()
+    frames = rng.normal(size=(2, cfg.history, 8, 8, 1)).astype(np.float32)
+    targets = rng.normal(size=(2, 8, 8, 1)).astype(np.float32)
+    masks = np.ones((2, 8, 8), dtype=np.float32)
+    with pytest.raises(ValueError, match="no observed points"):
+        with T.tape():
+            pred = md.lano_forward(coords, frames, masks, params)
+            assert len(T.active_tape()) > 0
+            tr.masked_one_step_loss(pred, targets, np.zeros_like(masks))
+    assert len(T.active_tape()) == 0
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    with T.tape():
+        grads = T.backward((x * x).sum())
+    assert list(grads) == [x]
+
+
 def test_train_seed_reproducible_metrics(tmp_path):
     splits = tiny_dataset()
     cfg = tiny_model_cfg()
@@ -330,14 +373,13 @@ def test_single_step_descends_on_frozen_batch():
     masks = np.ones((4, 8, 8), dtype=np.float32)
 
     def loss_value():
-        with T.no_grad():
-            pred = md.lano_forward(coords, frames, masks, params)
-            return float(tr.masked_one_step_loss(pred, targets, masks).data)
+        pred = md.lano_forward(coords, frames, masks, params)
+        return float(tr.masked_one_step_loss(pred, targets, masks).data)
 
     before = loss_value()
-    pred = md.lano_forward(coords, frames, masks, params)
-    loss = tr.masked_one_step_loss(pred, targets, masks)
-    grads_t = T.backward(loss)
+    with T.tape():
+        pred = md.lano_forward(coords, frames, masks, params)
+        grads_t = T.backward(tr.masked_one_step_loss(pred, targets, masks))
     grads = {name: grads_t[t] for name, t in params.items() if t in grads_t}
     tr.adamw_step(state, grads, lr=1e-6, cfg=tr.TrainConfig(weight_decay=0.0))
     after = loss_value()

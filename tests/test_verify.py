@@ -7,25 +7,23 @@ from util import corrupt_decode_normalization
 
 
 def test_run_suite_passes_and_leaves_no_tape_nodes(tmp_path):
-    before = len(T.active_tape())
     ok, results = vf.run_suite(tmp_dir=str(tmp_path))
-    assert len(T.active_tape()) == before
+    assert len(T.active_tape()) == 0 and not T.active_tape().recording
     assert ok, [r for r in results if not r.ok]
     assert len(results) == 23
     assert T.default_dtype() is np.float32
 
 
 def test_each_check_leaves_the_tape_as_it_found_it(tmp_path):
-    # run_suite alone cannot show a leak: a later check's backward clears
-    # the tape after walking the stray nodes
+    # per check, not only after the suite: no check leaves nodes behind or
+    # a tape open
     for name, _, fn in vf.CHECKS:
-        before = len(T.active_tape())
         with T.precision(np.float64):
             if fn is vf.check_round_trips:
                 fn(str(tmp_path))
             else:
                 fn()
-        assert len(T.active_tape()) == before, name
+        assert len(T.active_tape()) == 0 and not T.active_tape().recording, name
 
 
 def test_run_suite_catches_corrupted_decode_normalization(tmp_path, monkeypatch):
