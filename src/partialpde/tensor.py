@@ -10,7 +10,9 @@ The block clears the tape when it exits, also when it raises, so a forward
 that fails before its backward leaves no nodes behind.  Blocks do not nest.
 
 Precision is a process-wide switch: float32 for training, float64 for
-oracle checks (see `precision`).
+oracle checks (see `precision`).  Training keeps the parameters' dtype:
+the optimizer writes each update back in it, so every later forward, tape
+node and gradient of a run has the dtype the model was created with.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ one-cycle learning-rate schedule.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +55,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.consistency_weight < 0:
@@ -112,7 +117,13 @@ class TrainState:
 
 def adamw_step(state: TrainState, grads: dict, lr: float,
                cfg: TrainConfig) -> TrainState:
-    """Bias-corrected Adam moments with decoupled weight decay."""
+    """Bias-corrected Adam moments with decoupled weight decay.
+
+    Each parameter keeps its dtype: the gradient is cast to it, the moments
+    and the updated values stay in it, and `lr` enters as a Python float,
+    so a float32 run stays float32 whatever the dtypes of `lr` and `grads`.
+    """
+    lr = float(lr)
     state.step += 1
     t = state.step
     b1, b2 = cfg.beta1, cfg.beta2
@@ -124,6 +135,7 @@ def adamw_step(state: TrainState, grads: dict, lr: float,
             continue
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient in {name}")
+        g = np.asarray(g, dtype=p.data.dtype)
         m = state.m[name] = b1 * state.m[name] + (1 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
         update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
@@ -142,9 +154,9 @@ def one_cycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
     t_peak = min(max(t_peak, 0), total_steps - 1)
     if step <= t_peak:
         frac = 1.0 if t_peak == 0 else step / t_peak
-        return initial + (peak - initial) * 0.5 * (1 - np.cos(np.pi * frac))
+        return initial + (peak - initial) * 0.5 * (1 - math.cos(math.pi * frac))
     frac = (step - t_peak) / max(total_steps - 1 - t_peak, 1)
-    return final + (peak - final) * 0.5 * (1 + np.cos(np.pi * frac))
+    return final + (peak - final) * 0.5 * (1 + math.cos(math.pi * frac))
 
 
 # -- batching ---------------------------------------------------------------------

@@ -92,7 +92,7 @@ def tiny_state(value=0.0):
                          history=1)
     params = md.ModelParams(cfg, seed=0)
     name = "out.b"
-    params[name].data = np.full(params[name].shape, value, dtype=np.float32)
+    params[name].data = np.full(params[name].shape, value, dtype=params[name].dtype)
     return tr.TrainState(params), name
 
 
@@ -139,6 +139,31 @@ def test_one_cycle_endpoints():
     a = tr.one_cycle_lr(t_peak - 1, total, cfg)
     b = tr.one_cycle_lr(t_peak + 1, total, cfg)
     assert abs(a - 1e-3) < 1e-4 and abs(b - 1e-3) < 1e-4
+
+
+def test_one_cycle_lr_is_a_python_float():
+    # `is float`: np.float64 subclasses float and would promote float32 data
+    cfg = tr.TrainConfig(learning_rate=1e-3)
+    for step in (0, 3, 299, 999):
+        assert type(tr.one_cycle_lr(step, 1000, cfg)) is float
+
+
+@pytest.mark.parametrize("precision, grad_dtype", [
+    (np.float32, np.float64), (np.float32, np.float32),
+    (np.float64, np.float64), (np.float64, np.float32)])
+def test_adamw_keeps_each_parameter_dtype(precision, grad_dtype):
+    with T.precision(precision):
+        state, _ = tiny_state(0.5)
+    rng = np.random.default_rng(4)
+    cfg = tr.TrainConfig()
+    for _ in range(3):
+        grads = {name: rng.normal(size=p.shape).astype(grad_dtype)
+                 for name, p in state.params.items()}
+        tr.adamw_step(state, grads, lr=np.float64(1e-3), cfg=cfg)
+    want = {np.dtype(precision)}
+    assert {t.data.dtype for t in state.params.tensors()} == want
+    assert {a.dtype for a in state.m.values()} == want
+    assert {a.dtype for a in state.v.values()} == want
 
 
 # -- full-model gradient --------------------------------------------------------------
@@ -241,6 +266,84 @@ def test_train_runs_and_writes_artifacts(tmp_path):
     assert lines[0] == "epoch,step,lr,train_loss,val_rel_l2,wall_seconds"
     assert len(lines) == 3
     assert np.isfinite(res.best_val)
+
+
+def tiny_run(out, epochs=2, seed=0):
+    return tr.train_on_splits(tiny_dataset(), (8, 8),
+                              tr.MaskSpec(mk.PATCHWISE, 0.25, 4),
+                              tiny_model_cfg(),
+                              tr.TrainConfig(epochs=epochs, batch_size=4,
+                                             seed=seed), out)
+
+
+def test_float32_training_records_and_returns_only_float32(tmp_path,
+                                                          monkeypatch):
+    backward = T.backward
+    calls = []
+
+    def checked(loss):
+        nodes = T.active_tape()._nodes
+        assert nodes and {t.data.dtype for t in nodes} == {np.dtype(np.float32)}
+        grads = backward(loss)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        calls.append(len(nodes))
+        return grads
+
+    monkeypatch.setattr(T, "backward", checked)
+    tiny_run(tmp_path / "run", epochs=2)
+    assert len(calls) == 4           # 8 pairs in batches of 4, two epochs
+
+
+def test_best_val_is_the_saved_checkpoints_validation_error(tmp_path):
+    dtype = T.default_dtype()
+    res = tiny_run(tmp_path / "run", epochs=2, seed=1)
+    assert T.default_dtype() is dtype
+    val = tiny_dataset()["val"]
+    spec = tr.MaskSpec(mk.PATCHWISE, 0.25, 4)
+    val_masks = np.stack([spec.generate(8, 8, mk.derived_seed(1, 2, j)).grid
+                          for j in range(len(val))])
+    params = md.load_checkpoint(res.checkpoint_path)
+    assert res.best_val == float(np.mean(ev.trajectory_errors(params, val,
+                                                               val_masks)))
+
+
+def test_float32_training_agrees_with_a_float64_run(tmp_path):
+    r32 = tiny_run(tmp_path / "f32", epochs=3)
+    with T.precision(np.float64):
+        r64 = tiny_run(tmp_path / "f64", epochs=3)
+    assert T.default_dtype() is np.float32
+
+    def train_losses(res):
+        rows = res.metrics_path.read_text().splitlines()[1:]
+        return np.array([float(r.split(",")[3]) for r in rows])
+
+    assert r32.best_val == pytest.approx(r64.best_val, rel=1e-4)
+    l32, l64 = train_losses(r32), train_losses(r64)
+    assert len(l32) == 3
+    assert np.allclose(l32, l64, rtol=1e-4, atol=0.0)
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_untrainable_config_is_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        tr.TrainConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("flag, field", [("--epochs", "epochs"),
+                                         ("--batch", "batch_size")])
+def test_cli_train_with_nothing_to_train_reports_an_error(tmp_path, capsys,
+                                                          flag, field):
+    from partialpde import cli
+
+    pg.write_dataset(tiny_dataset(n_train=1, n_val=1), tmp_path / "ds")
+    tiny_flags = ["--layers", "1", "--channels", "8", "--heads", "2",
+                  "--tokens", "2", "--history", "2", "--mlp-ratio", "1"]
+    code = cli.main(["train", "--data", str(tmp_path / "ds"), *tiny_flags,
+                     flag, "0", "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+    assert not (tmp_path / "run" / "model.pobw").exists()
 
 
 def test_final_val_is_mean_relative_l2_of_predict_batch(tmp_path, monkeypatch):
