@@ -36,8 +36,7 @@ def _model_config(args, phys_channels: int) -> md.ModelConfig:
         layers=args.layers, channels=args.channels, heads=args.heads,
         latent_tokens=args.tokens, temperature=args.temperature,
         pconv_kernel=args.kernel, history=args.history,
-        phys_channels=phys_channels, mlp_ratio=args.mlp_ratio,
-        variant=args.variant, token_mixer=args.mixer,
+        phys_channels=phys_channels, mlp_ratio=args.mlp_ratio, token_mixer=args.mixer,
         boundary_first=not args.no_boundary_first)
 
 
@@ -50,7 +49,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", type=int, default=3)
     p.add_argument("--history", type=int, default=10)
     p.add_argument("--mlp-ratio", type=float, default=2.0, dest="mlp_ratio")
-    p.add_argument("--variant", choices=["reuse", "recalc"], default="reuse")
     p.add_argument("--mixer", choices=["attention", "mlp", "none"],
                    default="attention")
     p.add_argument("--no-boundary-first", action="store_true",
@@ -122,9 +120,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    _, splits = pg.read_dataset(args.data)
-    manifest = pg.read_manifest(Path(args.data) / "manifest.txt"
-                                if Path(args.data).is_dir() else args.data)
+    manifest, splits = pg.read_dataset(args.data)
     cfg = _model_config(args, manifest.channels)
     proto = ev.Protocol(pattern=PATTERNS[args.pattern], rate=args.rate,
                         patch_size=args.patch, epochs=args.epochs,
@@ -162,7 +158,10 @@ def cmd_dump(args) -> int:
         sidecar.append(("mask", 0, 0.0, 1.0))
     else:
         traj = pg.read_trajectory(path)
-        t = args.frame if args.frame >= 0 else traj.t_all - 1
+        if not -1 <= args.frame < traj.t_all:
+            raise ValueError(f"frame {args.frame} is outside 0..{traj.t_all - 1} "
+                             "(-1 selects the last frame)")
+        t = args.frame % traj.t_all
         for c in range(traj.frames.shape[-1]):
             field = traj.frames[t, ..., c].astype(np.float64)
             lo, hi = float(field.min()), float(field.max())

@@ -113,9 +113,9 @@ def evaluate_checkpoint(checkpoint_path, dataset, pattern, test_rates,
                         split: str = "test") -> EvalReport:
     params = md.load_checkpoint(checkpoint_path)
     _, splits = pg.read_dataset(dataset)
-    trajs = splits.get(split) or splits.get("test") or splits.get("val")
+    trajs = splits.get(split)
     if not trajs:
-        raise EvalError(f"dataset has no '{split}' split")
+        raise EvalError(f"dataset has no trajectories in split '{split}'")
     return evaluate(params, trajs, pattern, test_rates, patch_size, seed)
 
 

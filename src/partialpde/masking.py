@@ -45,9 +45,6 @@ class ObservationMask:
     def observed_fraction(self) -> float:
         return float(self.grid.mean())
 
-    def flat(self) -> np.ndarray:
-        return self.grid.reshape(-1)
-
 
 def derived_seed(*parts: int) -> int:
     """A 32-bit seed mixed from a tuple of integers (run seed, role, index)."""
@@ -100,18 +97,16 @@ def gen_mask(pattern: str, h: int, w: int, missing_rate: float, seed: int,
     raise MaskError(f"unknown mask pattern {pattern!r}")
 
 
-def mpt_augment(m: ObservationMask, artificial_rate: float, seed: int,
-                cross_pattern: str | None = None):
+def mpt_augment(m: ObservationMask, artificial_rate: float, seed: int):
     """Occlude an observed mask further with a fresh artificial mask.
 
     Returns (m_aug, h_hat) where m_aug = m AND h_hat.  h_hat follows the
-    same pattern family (and patch size) as m unless cross_pattern
-    overrides it.  Supervision stays on m: augmentation only hides input.
+    same pattern family (and patch size) as m.  Supervision stays on m:
+    augmentation only hides input.
     """
     _check_rate(artificial_rate)
     h, w = m.grid.shape
-    pattern = cross_pattern or m.pattern
-    h_hat = gen_mask(pattern, h, w, artificial_rate, seed,
+    h_hat = gen_mask(m.pattern, h, w, artificial_rate, seed,
                      patch_size=m.patch_size or 4)
     grid = (m.grid & h_hat.grid).astype(np.uint8)
     m_aug = ObservationMask(grid, m.pattern, m.missing_rate, m.patch_size, m.seed)

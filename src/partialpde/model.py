@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,11 +33,11 @@ from . import tensor as T
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"POBW"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
-VARIANT_REUSE = "reuse"      # decode with the propagated encoder maps
-VARIANT_RECALC = "recalc"    # decode with maps recomputed from coordinates
 MIXERS = ("attention", "mlp", "none")
+EPS = 1e-6      # keeps each token's aggregation weights from dividing by zero
+
 
 class DegenerateMaskError(ValueError):
     pass
@@ -50,12 +50,10 @@ class ModelConfig:
     heads: int = 8
     latent_tokens: int = 32
     temperature: float = 0.5
-    eps: float = 1e-6
     pconv_kernel: int = 3
     history: int = 10
     phys_channels: int = 1
     mlp_ratio: float = 2.0
-    variant: str = VARIANT_REUSE
     token_mixer: str = "attention"
     boundary_first: bool = True
 
@@ -67,8 +65,11 @@ class ModelConfig:
             raise ValueError("layers and latent_tokens must be >= 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if self.variant not in (VARIANT_REUSE, VARIANT_RECALC):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        if self.pconv_kernel < 1 or self.pconv_kernel % 2 == 0:
+            raise ValueError(
+                f"pconv_kernel must be odd and >= 1, got {self.pconv_kernel}")
+        if self.history < 1 or self.phys_channels < 1:
+            raise ValueError("history and phys_channels must be >= 1")
         if self.token_mixer not in MIXERS:
             raise ValueError(f"unknown token_mixer {self.token_mixer!r}")
 
@@ -115,13 +116,6 @@ def _param_specs(cfg: ModelConfig):
                 (p + "mix_b1", (l,), ("fanin", l)),
                 (p + "mix_w2", (l, l), ("fanin", l)),
                 (p + "mix_b2", (l,), ("fanin", l)),
-            ]
-        if cfg.variant == VARIANT_RECALC:
-            specs += [
-                (p + "pos_w1", (h, 2, ch), ("fanin", 2)),
-                (p + "pos_b1", (h, 1, ch), ("fanin", 2)),
-                (p + "pos_w2", (h, ch, l), ("fanin", ch)),
-                (p + "pos_b2", (h, 1, l), ("fanin", ch)),
             ]
         specs += [
             (p + "merge_w", (c, c), ("zeros",)),   # zero init: layer starts as identity
@@ -244,7 +238,7 @@ def phca_encode(yh: Tensor, mask: np.ndarray, params: ModelParams, layer: int):
     s = T.softmax(logits * (1.0 / cfg.temperature), axis=-1)
     mask_b = mask.astype(s.dtype)[:, None, :, None]
     s = s * mask_b
-    denom = s.sum(axis=2, keepdims=True) + cfg.eps           # (B, H, 1, L)
+    denom = s.sum(axis=2, keepdims=True) + EPS           # (B, H, 1, L)
     z = T.matmul(T.transpose(s, (0, 1, 3, 2)), yh) / T.transpose(denom, (0, 1, 3, 2))
     return s, z
 
@@ -309,20 +303,8 @@ def token_mix(z: Tensor, params: ModelParams, layer: int) -> Tensor:
     return T.transpose(out, (0, 1, 3, 2))
 
 
-def _recalc_decode_map(coords: np.ndarray, params: ModelParams, layer: int) -> Tensor:
-    cfg = params.config
-    p = f"L{layer}."
-    n = coords.reshape(-1, 2).shape[0]
-    dtype = params[p + "pos_w1"].dtype
-    c = Tensor(np.broadcast_to(coords.reshape(n, 2),
-                               (cfg.heads, n, 2)).astype(dtype), dtype=dtype)
-    hidden = T.gelu(T.matmul(c, params[p + "pos_w1"]) + params[p + "pos_b1"])
-    logits = T.matmul(hidden, params[p + "pos_w2"]) + params[p + "pos_b2"]
-    return T.softmax(logits * (1.0 / cfg.temperature), axis=-1)   # (H, N, L)
-
-
-def _fused_reuse_numerator(z_mixed: Tensor, s: Tensor, factor, mask_next,
-                           params: ModelParams, layer: int, gh: int, gw: int) -> Tensor:
+def _fused_numerator(z_mixed: Tensor, s: Tensor, factor, mask_next,
+                     params: ModelParams, layer: int, gh: int, gw: int) -> Tensor:
     """S_next @ [Z | 1] without forming S_next, transposed: (B, H, C_h+1, N)."""
     cfg = params.config
     b, h, l, ch = z_mixed.shape
@@ -342,18 +324,17 @@ def _fused_reuse_numerator(z_mixed: Tensor, s: Tensor, factor, mask_next,
     return T.tap_contract(s, wz, k, gh, gw) * f + bz * obs
 
 
-def phca_decode(z_mixed: Tensor, s: Tensor, mask: np.ndarray, coords: np.ndarray,
+def phca_decode(z_mixed: Tensor, s: Tensor, mask: np.ndarray,
                 params: ModelParams, layer: int, gh: int, gw: int):
     """Propagate boundary-first, then de-aggregate tokens to every grid point.
 
     s: the encoder's masked maps (B, H, N, L), not yet propagated; mask: the
     layer's input mask (B, N).  Returns (branch (B, N, C), mask_next (B, N)).
 
-    reuse: the decode maps are the propagated encoder maps S_next,
-    row-normalized over tokens.  Because the partial convolution is linear
-    and acts per token, it moves past the token contraction.  With
-    Z1 = [Z | 1], per-token kernel taps w_o and bias b, and f, obs from
-    `pconv_propagate`:
+    The decode maps are the propagated encoder maps S_next, row-normalized
+    over tokens.  Because the partial convolution is linear and acts per
+    token, it moves past the token contraction.  With Z1 = [Z | 1],
+    per-token kernel taps w_o and bias b, and f, obs from `pconv_propagate`:
 
         num = S_next @ Z1 = f * sum_o shift_o(S @ (w_o * Z1)) + obs * (b . Z1)
         out = num[:, :C_h] / num[:, C_h]
@@ -361,32 +342,25 @@ def phca_decode(z_mixed: Tensor, s: Tensor, mask: np.ndarray, coords: np.ndarray
     One `T.tap_contract` does the contraction and the shifted sum.  Rows
     whose token sum is not positive decode to exact zero: points the mask
     has not reached (sum 0), and rows that sign-mixed taps or bias drive to
-    zero or below.
-    Without boundary_first, num is Z1^T @ S^T.  recalc: maps are recomputed
-    from coordinates and decode everywhere; only the mask is propagated.
+    zero or below.  Without boundary_first, num is Z1^T @ S^T.
     """
     cfg = params.config
     if cfg.boundary_first:
         factor, mask_next = pconv_propagate(mask, cfg.pconv_kernel, gh, gw)
     else:
         factor, mask_next = None, mask
-    if cfg.variant == VARIANT_RECALC:
-        a = _recalc_decode_map(coords, params, layer)                 # (H, N, L)
-        out_h = T.matmul(T.transpose(z_mixed, (0, 1, 3, 2)), T.transpose(a, (0, 2, 1)))
-    else:
-        ch = cfg.head_dim
-        num = _fused_reuse_numerator(z_mixed, s, factor, mask_next, params, layer,
-                                     gh, gw)
-        row = num[:, :, ch:]
-        safe = T.masked_fill(row, row.data <= 0.0, np.inf)
-        out_h = num[:, :, :ch] / safe                                  # (B, H, C_h, N)
+    ch = cfg.head_dim
+    num = _fused_numerator(z_mixed, s, factor, mask_next, params, layer, gh, gw)
+    row = num[:, :, ch:]
+    safe = T.masked_fill(row, row.data <= 0.0, np.inf)
+    out_h = num[:, :, :ch] / safe                                      # (B, H, C_h, N)
     merged = _merge_heads(out_h, cfg)
     branch = T.matmul(merged, params[f"L{layer}.merge_w"]) + params[f"L{layer}.merge_b"]
     return branch, mask_next
 
 
-def phlp_branch(y_norm: Tensor, mask: np.ndarray, coords: np.ndarray,
-                params: ModelParams, layer: int, gh: int, gw: int):
+def phlp_branch(y_norm: Tensor, mask: np.ndarray, params: ModelParams,
+                layer: int, gh: int, gw: int):
     """The propagator branch on (already normalized) features.
 
     Returns (branch (B,N,C), mask_next (B,N)).
@@ -395,22 +369,22 @@ def phlp_branch(y_norm: Tensor, mask: np.ndarray, coords: np.ndarray,
     yh = _split_heads(y_norm, cfg)
     s, z = phca_encode(yh, mask, params, layer)
     z_mixed = token_mix(z, params, layer)
-    return phca_decode(z_mixed, s, mask, coords, params, layer, gh, gw)
+    return phca_decode(z_mixed, s, mask, params, layer, gh, gw)
 
 
 def _affine_layernorm(y: Tensor, params: ModelParams, prefix: str) -> Tensor:
     return T.layernorm(y, axis=-1) * params[prefix + "_g"] + params[prefix + "_b"]
 
 
-def latent_operator_layer(y: Tensor, mask: np.ndarray, coords: np.ndarray,
-                          params: ModelParams, layer: int, gh: int, gw: int):
+def latent_operator_layer(y: Tensor, mask: np.ndarray, params: ModelParams,
+                          layer: int, gh: int, gw: int):
     """One residual block: propagator branch then per-point MLP branch.
 
     Returns (y_out (B,N,C), mask_next (B,N)).
     """
     p = f"L{layer}."
     branch, mask_next = phlp_branch(
-        _affine_layernorm(y, params, p + "ln1"), mask, coords, params, layer, gh, gw)
+        _affine_layernorm(y, params, p + "ln1"), mask, params, layer, gh, gw)
     y_hat = branch + y
     h = _affine_layernorm(y_hat, params, p + "ln2")
     h = T.gelu(T.matmul(h, params[p + "mlp_w1"]) + params[p + "mlp_b1"])
@@ -440,22 +414,19 @@ def lano_forward(coords: np.ndarray, frames: np.ndarray, mask: np.ndarray,
     y = temporal_aggregate(coords, frames, params)
     m_cur = mask_flat
     for layer in range(cfg.layers):
-        y, m_cur = latent_operator_layer(y, m_cur, coords, params, layer, gh, gw)
+        y, m_cur = latent_operator_layer(y, m_cur, params, layer, gh, gw)
     pred = T.matmul(y, params["out.w"]) + params["out.b"]
     return T.reshape(pred, (b, gh, gw, cfg.phys_channels))
 
 
 # -- checkpoints -----------------------------------------------------------------
-# magic "POBW", version u32, u32-length-prefixed key=value config text, then
-# parameter tensors in declaration order: ndim u8, dims u32 each, float32 data.
-
-_CONFIG_FIELDS = ("layers", "channels", "heads", "latent_tokens", "temperature",
-                  "eps", "pconv_kernel", "history", "phys_channels", "mlp_ratio",
-                  "variant", "token_mixer", "boundary_first")
-
+# magic "POBW", version u32, u32-length-prefixed key=value config text (one
+# line per ModelConfig field, in declaration order), then parameter tensors
+# in declaration order: ndim u8, dims u32 each, float32 data.
 
 def config_to_text(cfg: ModelConfig) -> str:
-    return "\n".join(f"{k}={getattr(cfg, k)!r}" for k in _CONFIG_FIELDS)
+    return "\n".join(f"{f.name}={getattr(cfg, f.name)!r}"
+                     for f in fields(cfg))
 
 
 def config_from_text(text: str) -> ModelConfig:

@@ -1,4 +1,4 @@
-"""Synthetic PDE trajectory generation, dataset files, and ingestion.
+"""Synthetic PDE trajectory generation and dataset files.
 
 Two desk-scale solvers stand in for the usual benchmark data:
 
@@ -26,8 +26,7 @@ DATA_VERSION = 1
 
 NAVIER_STOKES = "navier_stokes"
 DIFFUSION_REACTION = "diffusion_reaction"
-EXTERNAL = "external"
-_KIND_CODES = {NAVIER_STOKES: 1, DIFFUSION_REACTION: 2, EXTERNAL: 3}
+_KIND_CODES = {NAVIER_STOKES: 1, DIFFUSION_REACTION: 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 DIVERGENCE_LIMIT = 1e3
@@ -152,6 +151,16 @@ def default_forcing(grid: GridGeometry, amplitude: float = 0.1) -> np.ndarray:
     return amplitude * (np.sin(2 * np.pi * s) + np.cos(2 * np.pi * s))
 
 
+def _spectral_operators(h: int, w: int):
+    """Angular wavenumbers ky (h, 1) and kx (1, w) on the periodic unit square,
+    |k|^2, and the inverse Laplacian symbol 1/|k|^2 (0 for the mean mode)."""
+    ky = 2 * np.pi * np.fft.fftfreq(h, d=1.0 / h)[:, None]
+    kx = 2 * np.pi * np.fft.fftfreq(w, d=1.0 / w)[None, :]
+    k_sq = kx ** 2 + ky ** 2
+    k_sq_inv = np.where(k_sq > 0, 1.0 / np.where(k_sq > 0, k_sq, 1.0), 0.0)
+    return ky, kx, k_sq, k_sq_inv
+
+
 def solve_navier_stokes(grid: GridGeometry, seed: int, t_steps: int, dt: float,
                         viscosity: float = 1e-3, forcing_amplitude: float = 0.1,
                         advection: bool = True, substeps: int | None = None,
@@ -171,10 +180,7 @@ def solve_navier_stokes(grid: GridGeometry, seed: int, t_steps: int, dt: float,
     if t_steps < 2:
         raise ValueError("t_steps must be >= 2")
 
-    ky = 2 * np.pi * np.fft.fftfreq(h, d=1.0 / h)[:, None]
-    kx = 2 * np.pi * np.fft.fftfreq(w, d=1.0 / w)[None, :]
-    k_sq = kx ** 2 + ky ** 2
-    k_sq_inv = np.where(k_sq > 0, 1.0 / np.where(k_sq > 0, k_sq, 1.0), 0.0)
+    ky, kx, k_sq, k_sq_inv = _spectral_operators(h, w)
     kmax_y = (2 * np.pi) * (h // 2)
     kmax_x = (2 * np.pi) * (w // 2)
     dealias = (np.abs(ky) < (2.0 / 3.0) * kmax_y) & (np.abs(kx) < (2.0 / 3.0) * kmax_x)
@@ -221,11 +227,7 @@ def solve_navier_stokes(grid: GridGeometry, seed: int, t_steps: int, dt: float,
 
 def kinetic_energy(omega: np.ndarray) -> float:
     """0.5 * mean |u|^2 of the velocity recovered from vorticity."""
-    h, w = omega.shape
-    ky = 2 * np.pi * np.fft.fftfreq(h, d=1.0 / h)[:, None]
-    kx = 2 * np.pi * np.fft.fftfreq(w, d=1.0 / w)[None, :]
-    k_sq = kx ** 2 + ky ** 2
-    k_sq_inv = np.where(k_sq > 0, 1.0 / np.where(k_sq > 0, k_sq, 1.0), 0.0)
+    ky, kx, _, k_sq_inv = _spectral_operators(*omega.shape)
     psi_hat = np.fft.fft2(omega) * k_sq_inv
     u = np.fft.ifft2(1j * ky * psi_hat).real
     v = np.fft.ifft2(-1j * kx * psi_hat).real
@@ -282,8 +284,6 @@ class DatasetManifest:
     dt: float
     files: dict = field(default_factory=dict)    # split -> list of file names
     seeds: dict = field(default_factory=dict)    # split -> list of ints
-    norm_mean: list | None = None                # per channel, external data only
-    norm_std: list | None = None
 
     def counts(self) -> dict:
         return {k: len(v) for k, v in self.files.items()}
@@ -298,9 +298,6 @@ def write_manifest(m: DatasetManifest, path) -> None:
     for split in sorted(m.files):
         lines.append(f"{split}_files={','.join(m.files[split])}")
         lines.append(f"{split}_seeds={','.join(str(s) for s in m.seeds.get(split, []))}")
-    if m.norm_mean is not None:
-        lines.append(f"norm_mean={','.join(repr(x) for x in m.norm_mean)}")
-        lines.append(f"norm_std={','.join(repr(x) for x in m.norm_std)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -326,9 +323,6 @@ def read_manifest(path) -> DatasetManifest:
             mt = re.fullmatch(r"(\w+)_seeds", k)
             if mt:
                 m.seeds[mt.group(1)] = [int(s) for s in v.split(",") if s]
-        if "norm_mean" in kv:
-            m.norm_mean = [float(x) for x in kv["norm_mean"].split(",")]
-            m.norm_std = [float(x) for x in kv["norm_std"].split(",")]
     except KeyError as e:
         raise DataFormatError(f"{path}: manifest missing key {e}") from None
     except ValueError as e:
@@ -388,52 +382,3 @@ def generate_dataset(pde_kind: str, grid: GridGeometry, counts: dict,
                         for i in range(n)]
         next_seed += n
     return write_dataset(trajs, out_dir)
-
-
-def ingest_external(series: np.ndarray, grid: GridGeometry,
-                    mean: np.ndarray | None = None,
-                    std: np.ndarray | None = None,
-                    dt: float = 1.0, seed: int = 0) -> Trajectory:
-    """Wrap a user-supplied regular-grid series as a trajectory.
-
-    Values are normalized per channel to zero mean / unit variance; pass the
-    training-split statistics (stored in the manifest) so every split shares
-    them.  Without explicit stats the series' own moments are used.
-    """
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 4:
-        raise DataFormatError(f"expected (T, H, W, C) series, got shape {arr.shape}")
-    if arr.shape[1] != grid.h or arr.shape[2] != grid.w:
-        raise DataFormatError(
-            f"series spatial shape {arr.shape[1:3]} != grid ({grid.h}, {grid.w})")
-    if not np.all(np.isfinite(arr)):
-        raise DataFormatError("series contains NaN or infinite values")
-    if mean is None:
-        mean = arr.mean(axis=(0, 1, 2))
-    if std is None:
-        std = arr.std(axis=(0, 1, 2))
-    std = np.where(np.asarray(std) > 0, std, 1.0)
-    normalized = (arr - np.asarray(mean)) / std
-    return Trajectory(normalized.astype(np.float32), dt, EXTERNAL, seed)
-
-
-def ingest_dataset(series_by_split: dict, grid: GridGeometry, out_dir,
-                   dt: float = 1.0) -> DatasetManifest:
-    """Ingest external series; normalization stats come from the train split."""
-    train = series_by_split.get("train", [])
-    if not train:
-        raise DataFormatError("external ingestion requires a train split")
-    stacked = np.concatenate([np.asarray(s, dtype=np.float64) for s in train], axis=0)
-    if not np.all(np.isfinite(stacked)):
-        raise DataFormatError("series contains NaN or infinite values")
-    mean = stacked.mean(axis=(0, 1, 2))
-    std = stacked.std(axis=(0, 1, 2))
-    trajs = {}
-    for split, series_list in series_by_split.items():
-        trajs[split] = [ingest_external(s, grid, mean, std, dt=dt, seed=i)
-                        for i, s in enumerate(series_list)]
-    m = write_dataset(trajs, out_dir)
-    m.norm_mean = [float(x) for x in mean]
-    m.norm_std = [float(x) for x in np.where(std > 0, std, 1.0)]
-    write_manifest(m, Path(out_dir) / "manifest.txt")
-    return m

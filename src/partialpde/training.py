@@ -21,6 +21,17 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+# one-cycle schedule: warmup share of the steps, and the start and end learning
+# rates as divisors of the peak
+PEAK_FRACTION = 0.3
+DIV_FACTOR = 25.0
+FINAL_DIV_FACTOR = 1e4
+# AdamW moment decay rates and denominator floor
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class TrainingDiverged(RuntimeError):
     def __init__(self, what: str):
         super().__init__(f"training diverged: {what}")
@@ -43,14 +54,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
     epochs: int = 100
     batch_size: int = 16
-    peak_fraction: float = 0.3
-    div_factor: float = 25.0
-    final_div_factor: float = 1e4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    mpt_enabled: bool = True
-    mpt_rate: float | None = None        # None: uniform in [0, missing_rate]
+    mpt_enabled: bool = True             # artificial rate uniform in [0, missing_rate]
     consistency_weight: float = 0.1
     seed: int = 0
 
@@ -126,7 +130,7 @@ def adamw_step(state: TrainState, grads: dict, lr: float,
     lr = float(lr)
     state.step += 1
     t = state.step
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = BETA1, BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name, p in state.params.items():
@@ -138,7 +142,7 @@ def adamw_step(state: TrainState, grads: dict, lr: float,
         g = np.asarray(g, dtype=p.data.dtype)
         m = state.m[name] = b1 * state.m[name] + (1 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.data = p.data - lr * update - lr * cfg.weight_decay * p.data
     return state
 
@@ -148,9 +152,9 @@ def one_cycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
     if total_steps <= 0 or step >= total_steps:
         raise ValueError("step must lie inside [0, total_steps)")
     peak = cfg.learning_rate
-    initial = peak / cfg.div_factor
-    final = peak / cfg.final_div_factor
-    t_peak = int(round(cfg.peak_fraction * (total_steps - 1)))
+    initial = peak / DIV_FACTOR
+    final = peak / FINAL_DIV_FACTOR
+    t_peak = int(round(PEAK_FRACTION * (total_steps - 1)))
     t_peak = min(max(t_peak, 0), total_steps - 1)
     if step <= t_peak:
         frac = 1.0 if t_peak == 0 else step / t_peak
@@ -196,7 +200,7 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
     out.mkdir(parents=True, exist_ok=True)
     gh, gw = grid_hw
     train = splits["train"]
-    val = splits.get("val") or splits.get("test") or []
+    val = splits.get("val") or []      # never the test split
     if not train:
         raise ValueError("empty training split")
 
@@ -280,8 +284,7 @@ def _train_step(params, state, coords, frames, targets, masks, mask_objs,
     if cfg.mpt_enabled:
         aug = np.empty_like(masks)
         for i in range(b):
-            rate = cfg.mpt_rate if cfg.mpt_rate is not None \
-                else rng.uniform(0, mask_spec.missing_rate)
+            rate = rng.uniform(0, mask_spec.missing_rate)
             m_aug, _ = mk.mpt_augment(mask_objs[i], rate,
                                       seed=int(rng.integers(2 ** 32)))
             aug[i] = m_aug.grid

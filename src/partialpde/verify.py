@@ -223,8 +223,6 @@ def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
         raise OracleSizeError(f"{n} points exceeds dense-kernel limit {max_points}")
     if cfg.token_mixer == "mlp":
         raise OracleSizeError("mlp token mixer does not fold into the kernel")
-    if cfg.variant != md.VARIANT_REUSE:
-        raise OracleSizeError("kernel oracle targets the reuse decode variant")
     mask = np.asarray(mask, dtype=np.float64).reshape(n)
     y = np.asarray(y, dtype=np.float64).reshape(n, cfg.channels)
     p = f"L{layer}."
@@ -238,7 +236,7 @@ def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
     logits = _np_gelu(yh @ w("slice_w1") + w("slice_b1")) @ w("slice_w2") \
         + w("slice_b2")
     s = _np_softmax(logits / cfg.temperature, axis=-1) * mask[None, :, None]
-    psi = s / (s.sum(axis=1, keepdims=True) + cfg.eps)          # (H, N, L)
+    psi = s / (s.sum(axis=1, keepdims=True) + md.EPS)          # (H, N, L)
 
     if cfg.boundary_first:
         grid = s.transpose(0, 2, 1).reshape(h * l, gh, gw)
@@ -300,9 +298,7 @@ def check_kernel_oracle():
         gh = gw = (8, 12, 16)[seed % 3]
         _, params, y, mask = _oracle_instance(seed, gh, gw)
         res = kernel_oracle(params, 0, mask, y, gh, gw)
-        coords = pg.GridGeometry(gh, gw).coords()
-        branch, _ = md.phlp_branch(Tensor(y[None]), mask[None], coords,
-                                   params, 0, gh, gw)
+        branch, _ = md.phlp_branch(Tensor(y[None]), mask[None], params, 0, gh, gw)
         worst = max(worst, np.abs(res.integral - branch.data[0]).max())
     return worst < 1e-6, f"max abs dev over 20 instances {worst:.2e}"
 
@@ -319,8 +315,7 @@ def check_kernel_identity_self_update():
     params["L0.merge_w"].data = np.zeros((16, 16))
     params["L0.merge_b"].data = np.zeros(16)
     res = kernel_oracle(params, 0, mask, y, 8, 8)
-    branch, _ = md.phlp_branch(Tensor(y[None]), mask[None],
-                               pg.GridGeometry(8, 8).coords(), params, 0, 8, 8)
+    branch, _ = md.phlp_branch(Tensor(y[None]), mask[None], params, 0, 8, 8)
     layer_out = branch.data[0] + y
     obs = mask == 1.0
     dev = np.abs(layer_out[obs] - (res.integral + res.identity)[obs]).max()
@@ -350,8 +345,7 @@ def check_pconv_full_mask_reduction():
     s_arr = rng.random((1, 2, 36, 2))
     z = rng.normal(size=(1, 2, 2, 4))
     got, m_next = md.phca_decode(Tensor(z), Tensor(s_arr), np.ones((1, 36)),
-                                 pg.GridGeometry(gh, gw).coords(), params,
-                                 0, gh, gw)
+                                 params, 0, gh, gw)
     grid = s_arr.transpose(0, 1, 3, 2).reshape(1, 4, gh, gw)
     conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
     s_next = (conv.data + params["L0.pconv_b"].data[None, :, None, None]) \
@@ -372,7 +366,7 @@ def check_single_token_closed_forms():
     yh = rng.normal(size=(1, 2, n, 4))
     mask = (rng.random((1, n)) > 0.4).astype(np.float64)
     _, z = md.phca_encode(Tensor(yh), mask, params, 0)
-    want = (yh * mask[:, None, :, None]).sum(axis=2) / (mask.sum() + cfg.eps)
+    want = (yh * mask[:, None, :, None]).sum(axis=2) / (mask.sum() + md.EPS)
     dev = np.abs(z.data[:, :, 0, :] - want).max()
     return dev < 1e-12, f"single-token aggregation dev {dev:.2e}"
 
@@ -423,7 +417,7 @@ def check_adam_first_step():
     tcfg = tr.TrainConfig(weight_decay=0.0)
     g = np.full(params["out.b"].shape, -1.3)
     tr.adamw_step(state, {"out.b": g}, lr=0.05, cfg=tcfg)
-    want = -0.05 * (-1.3) / (1.3 + tcfg.adam_eps)
+    want = -0.05 * (-1.3) / (1.3 + tr.ADAM_EPS)
     dev = np.abs(params["out.b"].data - want).max()
     return dev < 1e-7, f"first-step dev {dev:.2e}"
 

@@ -1,0 +1,86 @@
+import pytest
+
+from partialpde import cli
+from partialpde import model as md
+from partialpde import pdegen as pg
+
+TINY_MODEL = ["--layers", "1", "--channels", "8", "--heads", "2", "--tokens", "2",
+              "--history", "2", "--mlp-ratio", "1"]
+
+
+def run(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_cli_chain_gen_data_to_dump(tmp_path, capsys):
+    ds, mask, out = tmp_path / "ds", tmp_path / "m.pobm", tmp_path / "run"
+    steps = [
+        (["gen-data", "--pde", "ns", "--grid", 16, "--traj", 2, "--val", 1,
+          "--test", 1, "--tsteps", 4, "--dt", 0.05, "--out", ds],
+         [ds / "manifest.txt", ds / "traj_test_00000.pobd", ds / "config_echo.cfg"]),
+        (["gen-mask", "--grid", 16, "--out", mask], [mask, tmp_path / "m.pobm.cfg"]),
+        (["train", "--data", ds, *TINY_MODEL, "--epochs", 1, "--batch", 4,
+          "--out", out],
+         [out / "model.pobw", out / "metrics.csv", out / "config_echo.cfg"]),
+        (["eval", "--ckpt", out / "model.pobw", "--data", ds, "--rates", "0.25",
+          "--out", tmp_path / "eval.csv"],
+         [tmp_path / "eval.csv", tmp_path / "eval.csv.cfg"]),
+        (["dump", "--input", ds / "traj_test_00000.pobd", "--out", tmp_path / "d" / "f"],
+         [tmp_path / "d" / "f_t3_c0.pgm", tmp_path / "d" / "f_minmax.txt",
+          tmp_path / "d" / "f_minmax.txt.cfg"]),
+        (["dump", "--input", mask, "--out", tmp_path / "d" / "m"],
+         [tmp_path / "d" / "m.pgm", tmp_path / "d" / "m_minmax.txt.cfg"]),
+    ]
+    for argv, artifacts in steps:
+        code, err = run(capsys, *argv)
+        assert code == 0 and err == [], argv[0]
+        for path in artifacts:
+            assert path.is_file() and path.stat().st_size > 0, path
+    rows = (tmp_path / "eval.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("patchwise,0.25,")
+
+
+def small_dataset(tmp_path, val=1):
+    grid = pg.GridGeometry(8, 8)
+    traj = lambda s: pg.solve_diffusion_reaction(grid, seed=s, t_steps=3, dt=0.02)
+    pg.write_dataset({"train": [traj(0)], "val": [traj(1)][:val], "test": [traj(2)]},
+                     tmp_path / "ds")
+    return tmp_path / "ds"
+
+
+@pytest.mark.parametrize("kernel", [0, 2])
+def test_cli_train_rejects_an_unusable_kernel(tmp_path, capsys, kernel):
+    code, err = run(capsys, "train", "--data", small_dataset(tmp_path), *TINY_MODEL,
+                    "--kernel", kernel, "--epochs", 1, "--out", tmp_path / "run")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "pconv_kernel" in err[0]
+    assert not (tmp_path / "run" / "model.pobw").exists()
+
+
+def test_cli_eval_of_an_empty_split_is_an_error(tmp_path, capsys):
+    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
+                         history=2, phys_channels=2, mlp_ratio=1.0)
+    md.save_checkpoint(md.ModelParams(cfg), tmp_path / "m.pobw")
+    code, err = run(capsys, "eval", "--ckpt", tmp_path / "m.pobw",
+                    "--data", small_dataset(tmp_path, val=0), "--split", "val",
+                    "--out", tmp_path / "e.csv")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "'val'" in err[0]
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("frame, code, name", [
+    (0, 0, "f_t0_c0.pgm"), (-1, 0, "f_t2_c0.pgm"), (2, 0, "f_t2_c0.pgm"),
+    (3, 1, None), (9, 1, None), (-2, 1, None),
+])
+def test_cli_dump_frame_must_exist(tmp_path, capsys, frame, code, name):
+    src = small_dataset(tmp_path) / "traj_train_00000.pobd"
+    got, err = run(capsys, "dump", "--input", src, "--frame", frame,
+                   "--out", tmp_path / "d" / "f")
+    assert got == code
+    if name:
+        assert (tmp_path / "d" / name).is_file()
+    else:
+        assert len(err) == 1 and err[0].startswith("error:") and "frame" in err[0]
+        assert not list((tmp_path / "d").glob("*.pgm"))

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import partialpde
 from partialpde import evaluation as ev
@@ -54,3 +55,17 @@ def test_importing_the_cli_leaves_interpolation_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code, str(src)],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("split", ["val", "train2"])
+def test_evaluate_checkpoint_rejects_an_empty_or_missing_split(tmp_path, split):
+    grid = pg.GridGeometry(8, 8)
+    traj = lambda s: pg.solve_diffusion_reaction(grid, seed=s, t_steps=3, dt=0.02)
+    pg.write_dataset({"train": [traj(0)], "val": [], "test": [traj(1)]},
+                     tmp_path / "ds")
+    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
+                         history=2, phys_channels=2, mlp_ratio=1.0)
+    md.save_checkpoint(md.ModelParams(cfg, seed=0), tmp_path / "m.pobw")
+    with pytest.raises(ev.EvalError, match=f"split '{split}'"):
+        ev.evaluate_checkpoint(tmp_path / "m.pobw", tmp_path / "ds", mk.PATCHWISE,
+                               [0.25], split=split)

@@ -99,8 +99,6 @@ def test_mpt_same_pattern_family():
     _, h_hat = mk.mpt_augment(m, 0.5, seed=2)
     assert h_hat.pattern == mk.PATCHWISE
     assert h_hat.patch_size == 4
-    _, h_hat2 = mk.mpt_augment(m, 0.5, seed=2, cross_pattern=mk.POINTWISE)
-    assert h_hat2.pattern == mk.POINTWISE
 
 
 def test_mask_file_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,20 @@ def test_config_validation():
         md.ModelConfig(temperature=0.0)
     with pytest.raises(ValueError):
         md.ModelConfig(token_mixer="conv")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pconv_kernel", 0), ("pconv_kernel", -1), ("pconv_kernel", 2),
+    ("pconv_kernel", 4), ("history", 0), ("phys_channels", 0),
+])
+def test_config_rejects_unusable_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        md.ModelConfig(**{field: value})
+
+
+def test_config_accepts_smallest_sizes():
+    cfg = md.ModelConfig(pconv_kernel=1, history=1, phys_channels=1)
+    assert cfg.embed_width == 3
 
 
 def test_parameter_count_is_pure_function_of_config():
@@ -108,7 +124,7 @@ def test_encode_single_token_is_masked_mean():
     mask = (rng.random((1, n)) > 0.4).astype(np.float64)
     s, z = md.phca_encode(Tensor(yh_arr), mask, params, 0)
     n_obs = mask.sum()
-    want = (yh_arr * mask[:, None, :, None]).sum(axis=2) / (n_obs + cfg.eps)
+    want = (yh_arr * mask[:, None, :, None]).sum(axis=2) / (n_obs + md.EPS)
     assert np.abs(z.data - want[:, :, None, :]).max() < 1e-12
 
 
@@ -171,8 +187,7 @@ def decode_from_maps(s_next, z, params):
 
 
 def fused_decode(z, s, mask, params, gh, gw):
-    out, m_next = md.phca_decode(Tensor(z), Tensor(s), mask, grid_coords(gh, gw),
-                                 params, 0, gh, gw)
+    out, m_next = md.phca_decode(Tensor(z), Tensor(s), mask, params, 0, gh, gw)
     return out.data, m_next
 
 
@@ -368,27 +383,6 @@ def test_decode_rows_beyond_dilation_decode_to_merge_b():
     assert np.all(np.abs(out[:3, :3] - params["L0.merge_b"].data).max(axis=-1) > 0)
 
 
-def test_decode_recalc_constant_logits_uniform_weights():
-    cfg = small_config(variant="recalc", token_mixer="none")
-    params = md.ModelParams(cfg, seed=8)
-    params["L0.pos_w2"].data = np.zeros(params["L0.pos_w2"].shape)
-    params["L0.pos_b2"].data = np.zeros(params["L0.pos_b2"].shape)
-    params["L0.merge_w"].data = np.eye(cfg.channels)
-    params["L0.merge_b"].data = np.zeros(cfg.channels)
-    rng = np.random.default_rng(6)
-    n = 16
-    z = rng.normal(size=(1, cfg.heads, cfg.latent_tokens, cfg.head_dim))
-    mask = np.zeros((1, n))
-    mask[0, 0] = 1.0
-    out, m_next = fused_decode(z, np.zeros((1, cfg.heads, n, cfg.latent_tokens)),
-                               mask, params, 4, 4)
-    want_h = z.mean(axis=2)  # uniform 1/L mixture of tokens
-    out_h = out.reshape(1, n, cfg.heads, cfg.head_dim)
-    assert np.abs(out_h - want_h[:, None]).max() < 1e-12
-    # the mask still dilates although the recalc maps ignore it
-    assert m_next.reshape(4, 4)[:2, :2].sum() == 4 and m_next.sum() == 4
-
-
 # -- layers and full forward ---------------------------------------------------------
 
 def test_layer_residual_identity_at_init():
@@ -397,8 +391,7 @@ def test_layer_residual_identity_at_init():
     params = md.ModelParams(cfg, seed=9)
     coords, frames, mask = random_inputs(cfg, 4, 4, seed=1)
     y0 = md.temporal_aggregate(coords, frames, params)
-    y1, _ = md.latent_operator_layer(y0, mask.reshape(1, -1), coords,
-                                     params, 0, 4, 4)
+    y1, _ = md.latent_operator_layer(y0, mask.reshape(1, -1), params, 0, 4, 4)
     h = md._affine_layernorm(y0, params, "L0.ln2")
     h = T.gelu(T.matmul(h, params["L0.mlp_w1"]) + params["L0.mlp_b1"])
     h = T.matmul(h, params["L0.mlp_w2"]) + params["L0.mlp_b2"]
@@ -413,7 +406,7 @@ def layer_masks(coords, frames, mask, params):
     y = md.temporal_aggregate(coords, frames * m.reshape(b, 1, gh, gw, 1), params)
     masks = []
     for layer in range(params.config.layers):
-        y, m = md.latent_operator_layer(y, m, coords, params, layer, gh, gw)
+        y, m = md.latent_operator_layer(y, m, params, layer, gh, gw)
         masks.append(m)
     return masks
 
@@ -531,8 +524,7 @@ def oracle_instance(cfg, gh, gw, seed, missing=0.4, pattern="point"):
 
 
 def phlp_branch_output(params, y, mask, gh, gw):
-    branch, _ = md.phlp_branch(Tensor(y[None]), mask[None],
-                               grid_coords(gh, gw), params, 0, gh, gw)
+    branch, _ = md.phlp_branch(Tensor(y[None]), mask[None], params, 0, gh, gw)
     return branch.data[0]
 
 
@@ -645,7 +637,7 @@ def test_full_mask_single_layer_matches_oracle_through_layer_api():
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     with T.precision(np.float32):
-        cfg = small_config(token_mixer="attention", variant="recalc")
+        cfg = small_config(token_mixer="mlp", boundary_first=False)
         params = md.ModelParams(cfg, seed=21)
         p = tmp_path / "m.pobw"
         md.save_checkpoint(params, p)
@@ -658,6 +650,33 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         p2 = tmp_path / "m2.pobw"
         md.save_checkpoint(loaded, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_round_trips_every_config_field(tmp_path):
+    # each field away from its default, so a field the checkpoint text drops
+    # or garbles shows up as a config mismatch
+    cfg = md.ModelConfig(layers=1, channels=12, heads=3, latent_tokens=5,
+                         temperature=0.75, pconv_kernel=5, history=2,
+                         phys_channels=2, mlp_ratio=1.5, token_mixer="mlp",
+                         boundary_first=False)
+    default = md.ModelConfig()
+    for f in dataclasses.fields(md.ModelConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    with T.precision(np.float32):
+        params = md.ModelParams(cfg, seed=3)
+        p = tmp_path / "m.pobw"
+        md.save_checkpoint(params, p)
+        loaded = md.load_checkpoint(p)
+    assert loaded.config == cfg
+    assert loaded.names() == params.names()
+
+
+def test_checkpoint_version_1_is_rejected(tmp_path):
+    raw = saved_checkpoint(tmp_path)
+    old = tmp_path / "v1.pobw"
+    old.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(md.CheckpointError, match="unsupported version 1"):
+        md.load_checkpoint(old)
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):

@@ -175,6 +175,14 @@ def test_wrong_endianness_version_is_format_error(tmp_path):
         pg.read_trajectory(tmp_path / "e.pobd")
 
 
+def test_unknown_kind_code_is_format_error(tmp_path):
+    raw = bytearray(written_trajectory_bytes(tmp_path))
+    raw[8] = 3           # the code of no PDE kind
+    (tmp_path / "k.pobd").write_bytes(bytes(raw))
+    with pytest.raises(pg.DataFormatError, match="unknown pde_kind code 3"):
+        pg.read_trajectory(tmp_path / "k.pobd")
+
+
 def test_bad_magic(tmp_path):
     (tmp_path / "x.pobd").write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(pg.DataFormatError, match="magic"):
@@ -255,46 +263,3 @@ def test_generate_dataset_splits_disjoint(tmp_path):
                             t_steps=4, dt=0.02, seed0=100, out_dir=tmp_path / "g")
     seeds = [s for split in ("train", "val", "test") for s in m.seeds[split]]
     assert seeds == [100, 101, 102, 103]
-
-
-# -- external ingestion ------------------------------------------------------------
-
-def test_ingest_constant_field_normalizes_to_zero():
-    series = np.full((4, 32, 32, 1), 7.5)
-    traj = pg.ingest_external(series, GRID)
-    assert np.all(traj.frames == 0.0)
-    assert traj.pde_kind == pg.EXTERNAL
-
-
-def test_ingest_known_mean_std():
-    # two frames, one channel: values 1 and 3 -> mean 2, std 1
-    series = np.stack([np.full((32, 32, 1), 1.0), np.full((32, 32, 1), 3.0)])
-    traj = pg.ingest_external(series, GRID)
-    assert np.allclose(sorted(np.unique(traj.frames)), [-1.0, 1.0])
-
-
-def test_ingest_rejects_nan():
-    series = np.zeros((2, 32, 32, 1))
-    series[1, 3, 3, 0] = np.nan
-    with pytest.raises(pg.DataFormatError, match="NaN"):
-        pg.ingest_external(series, GRID)
-
-
-def test_ingest_rejects_bad_shape():
-    with pytest.raises(pg.DataFormatError):
-        pg.ingest_external(np.zeros((2, 16, 16, 1)), GRID)
-
-
-def test_ingest_dataset_uses_train_statistics(tmp_path):
-    rng = np.random.default_rng(0)
-    train = [rng.normal(2.0, 3.0, size=(4, 32, 32, 1)) for _ in range(2)]
-    test = [rng.normal(2.0, 3.0, size=(4, 32, 32, 1))]
-    m = pg.ingest_dataset({"train": train, "test": test}, GRID, tmp_path / "ext")
-    stacked = np.concatenate(train, axis=0)
-    assert m.norm_mean[0] == pytest.approx(stacked.mean())
-    assert m.norm_std[0] == pytest.approx(stacked.std())
-    m2, splits = pg.read_dataset(tmp_path / "ext")
-    assert m2.norm_mean == m.norm_mean
-    # test split was normalized with train stats, not its own
-    want = (test[0] - stacked.mean()) / stacked.std()
-    assert np.allclose(splits["test"][0].frames, want, atol=1e-6)

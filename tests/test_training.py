@@ -109,7 +109,7 @@ def test_adamw_first_step_closed_form():
     cfg = tr.TrainConfig(weight_decay=0.0)
     g = np.full(state.params[name].shape, 0.7, dtype=np.float64)
     tr.adamw_step(state, {name: g}, lr=0.01, cfg=cfg)
-    want = -0.01 * 0.7 / (abs(0.7) + cfg.adam_eps)
+    want = -0.01 * 0.7 / (abs(0.7) + tr.ADAM_EPS)
     assert np.allclose(state.params[name].data, want, rtol=1e-6)
 
 
@@ -443,6 +443,22 @@ def test_train_seed_reproducible_metrics(tmp_path):
 
     assert stripped(r1.metrics_path) == stripped(r2.metrics_path)
     assert r1.checkpoint_path.read_bytes() == r2.checkpoint_path.read_bytes()
+
+
+def test_validation_never_reads_the_test_split(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ev, "trajectory_errors",
+                        lambda *args: calls.append(args) or [0.0])
+    data = tiny_dataset(n_train=2, n_val=2)
+    splits = {"train": data["train"], "test": data["val"]}
+    tcfg = tr.TrainConfig(epochs=2, batch_size=4, seed=0)
+    res = tr.train_on_splits(splits, (8, 8), tr.MaskSpec(mk.PATCHWISE, 0.25, 4),
+                             tiny_model_cfg(), tcfg, tmp_path / "run")
+    assert calls == []
+    assert np.isnan(res.best_val) and np.isnan(res.final_val)
+    rows = res.metrics_path.read_text().splitlines()[1:]
+    assert [r.split(",")[4] for r in rows] == ["nan", "nan"]
+    assert res.checkpoint_path.exists()
 
 
 def test_train_mpt_off_is_plain_supervised(tmp_path):
