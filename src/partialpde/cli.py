@@ -88,16 +88,15 @@ def cmd_gen_mask(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest = pg.read_manifest(Path(args.data) / "manifest.txt"
-                                if Path(args.data).is_dir() else args.data)
+    manifest, splits = pg.read_dataset(args.data)
     cfg = _model_config(args, manifest.channels)
     tcfg = tr.TrainConfig(
         learning_rate=args.lr, weight_decay=args.weight_decay,
         epochs=args.epochs, batch_size=args.batch, seed=args.seed,
-        mpt_enabled=args.mpt == "on",
-        consistency_weight=args.consistency if args.mpt == "on" else 0.0)
+        mpt_enabled=args.mpt == "on", consistency_weight=args.consistency)
     spec = tr.MaskSpec(PATTERNS[args.pattern], args.rate, args.patch)
-    res = tr.train(args.data, spec, cfg, tcfg, args.out)
+    res = tr.train_on_splits(splits, (manifest.h, manifest.w), spec, cfg, tcfg,
+                             args.out)
     _echo_config(args, Path(args.out))
     print(f"best val rel L2 {res.best_val:.6f}; checkpoint "
           f"{res.checkpoint_path}; metrics {res.metrics_path}")
@@ -106,13 +105,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     rates = [float(r) for r in args.rates.split(",") if r]
-    report = ev.evaluate_checkpoint(args.ckpt, args.data, PATTERNS[args.pattern],
-                                    rates, args.patch, seed=args.seed,
-                                    split=args.split)
+    rows = ev.evaluate_checkpoint(args.ckpt, args.data, PATTERNS[args.pattern],
+                                  rates, args.patch, seed=args.seed,
+                                  split=args.split)
     out = Path(args.out)
-    report.to_csv(out)
+    ev.write_rows(out, rows)
     _echo_config(args, out)
-    for row in report.rows:
+    for row in rows:
         print(f"{row['pattern']} rate {row['test_rate']}: "
               f"rel L2 {row['mean_rel_l2']:.6f} +/- {row['std_rel_l2']:.6f} "
               f"(n={row['n_samples']})")
@@ -122,12 +121,11 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     manifest, splits = pg.read_dataset(args.data)
     cfg = _model_config(args, manifest.channels)
-    proto = ev.Protocol(pattern=PATTERNS[args.pattern], rate=args.rate,
-                        patch_size=args.patch, epochs=args.epochs,
-                        batch_size=args.batch, seed=args.seed)
+    spec = tr.MaskSpec(PATTERNS[args.pattern], args.rate, args.patch)
+    tcfg = tr.TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed)
     sweep = [int(t) for t in args.token_sweep.split(",")] \
         if args.token_sweep else None
-    rows = ev.ablate(splits, (manifest.h, manifest.w), cfg, args.axis, proto,
+    rows = tr.ablate(splits, (manifest.h, manifest.w), cfg, args.axis, spec, tcfg,
                      args.out, token_sweep=sweep)
     _echo_config(args, Path(args.out))
     for r in rows:
@@ -187,9 +185,9 @@ def _write_pgm(path, img: np.ndarray) -> None:
 def cmd_bench_matrix(args) -> int:
     manifest, splits = pg.read_dataset(args.data)
     cfg = _model_config(args, manifest.channels)
-    proto = ev.Protocol(patch_size=args.patch, epochs=args.epochs,
-                        batch_size=args.batch, seed=args.seed)
-    rows = ev.bench_matrix(splits, (manifest.h, manifest.w), cfg, proto,
+    spec = tr.MaskSpec(patch_size=args.patch)
+    tcfg = tr.TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed)
+    rows = tr.bench_matrix(splits, (manifest.h, manifest.w), cfg, spec, tcfg,
                            args.out)
     _echo_config(args, Path(args.out))
     for r in rows:
@@ -252,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train/evaluate along an ablation axis")
     p.add_argument("--data", required=True)
-    p.add_argument("--axis", choices=ev.ABLATION_AXES, required=True)
+    p.add_argument("--axis", choices=tr.ABLATION_AXES, required=True)
     _add_mask_flags(p, rate_default=0.25)
     _add_model_flags(p)
     p.add_argument("--epochs", type=int, default=40)

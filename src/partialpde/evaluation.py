@@ -1,14 +1,14 @@
-"""Evaluation metrics and protocol: relative L2, masked one-step evaluation
-over rate/pattern grids, ablation and train/test-rate matrix harnesses, and
-the cubic interpolation-fill reference mode.
+"""Evaluation metrics: relative L2, masked one-step evaluation over
+rate/pattern grids, CSV rows, and the cubic interpolation-fill reference mode.
+
+The ablation and train/test-rate matrix harnesses train models, so they live
+in `training`, next to `train_on_splits`.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -33,19 +33,12 @@ def relative_l2(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.linalg.norm((pred - truth).reshape(-1)) / denom)
 
 
-@dataclass
-class EvalReport:
-    rows: list = field(default_factory=list)
-    config_fingerprint: str = ""
-
-    def to_csv(self, path) -> None:
-        fields = ["pattern", "test_rate", "patch_size", "mean_rel_l2",
-                  "std_rel_l2", "n_samples", "config_fingerprint"]
-        with open(path, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=fields)
-            w.writeheader()
-            for r in self.rows:
-                w.writerow({**r, "config_fingerprint": self.config_fingerprint})
+def write_rows(path, rows: list) -> None:
+    """Write row dicts as CSV; the first row's keys, in order, are the columns."""
+    with open(path, "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
 
 
 def config_fingerprint(cfg: md.ModelConfig) -> str:
@@ -53,6 +46,11 @@ def config_fingerprint(cfg: md.ModelConfig) -> str:
 
 
 def _first_window_batch(trajs, history):
+    shortest = min(t.t_all for t in trajs)
+    if shortest <= history:
+        raise EvalError(f"one-step evaluation needs {history + 1} frames per "
+                        f"trajectory (history {history} + 1 target); the "
+                        f"shortest has {shortest}")
     frames = np.stack([t.frames[:history] for t in trajs]).astype(np.float32)
     truths = np.stack([t.frames[history] for t in trajs]).astype(np.float32)
     return frames, truths
@@ -81,36 +79,40 @@ def trajectory_errors(params: md.ModelParams, trajs, masks: np.ndarray) -> list:
 
 
 def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
-             patch_size: int = 4, seed: int = 0) -> EvalReport:
+             patch_size: int = 4, seed: int = 0) -> list:
     """Fresh seeded masks per (rate, trajectory); full-domain relative L2.
 
-    One row per requested test rate; rows carry the mean and per-trajectory
-    spread of the error.
+    Returns one row dict per requested test rate; rows carry the mean and
+    per-trajectory spread of the error and the model's config fingerprint.
     """
     if not trajs:
         raise EvalError("no trajectories to evaluate")
+    if not test_rates:
+        raise EvalError("no test rates to evaluate")
     _, h, w, _ = trajs[0].frames.shape
-    report = EvalReport(config_fingerprint=config_fingerprint(params.config))
+    fingerprint = config_fingerprint(params.config)
+    rows = []
     for ri, rate in enumerate(test_rates):
         masks = np.stack([
             mk.gen_mask(pattern, h, w, rate,
                         seed=mk.derived_seed(seed, ri, j), patch_size=patch_size).grid
             for j in range(len(trajs))])
         errs = trajectory_errors(params, trajs, masks)
-        report.rows.append({
+        rows.append({
             "pattern": pattern,
             "test_rate": rate,
             "patch_size": patch_size if pattern == mk.PATCHWISE else 0,
             "mean_rel_l2": float(np.mean(errs)),
             "std_rel_l2": float(np.std(errs)),
             "n_samples": len(errs),
+            "config_fingerprint": fingerprint,
         })
-    return report
+    return rows
 
 
 def evaluate_checkpoint(checkpoint_path, dataset, pattern, test_rates,
                         patch_size: int = 4, seed: int = 0,
-                        split: str = "test") -> EvalReport:
+                        split: str = "test") -> list:
     params = md.load_checkpoint(checkpoint_path)
     _, splits = pg.read_dataset(dataset)
     trajs = splits.get(split)
@@ -187,108 +189,3 @@ def interp_fill_baseline(frames: np.ndarray, m) -> np.ndarray:
             g[missing] = est[missing]
             out[t, ..., c] = g
     return out[0] if single else out
-
-
-# -- ablations and the rate matrix ---------------------------------------------------
-
-ABLATION_AXES = ("tokens", "components", "mixer")
-TOKEN_SWEEP = (1, 8, 16, 32, 64)
-
-
-@dataclass
-class Protocol:
-    """Fixed desk-scale training protocol for harness runs."""
-    pattern: str = mk.POINTWISE
-    rate: float = 0.25
-    patch_size: int = 4
-    epochs: int = 40
-    batch_size: int = 32
-    seed: int = 0
-    test_seed: int = 1234
-
-
-def _train_and_eval(splits, grid_hw, model_cfg, protocol, out_dir,
-                    mpt_enabled=True, test_rates=None):
-    from . import training as tr
-    spec = tr.MaskSpec(protocol.pattern, protocol.rate, protocol.patch_size)
-    tcfg = tr.TrainConfig(epochs=protocol.epochs, batch_size=protocol.batch_size,
-                          seed=protocol.seed, mpt_enabled=mpt_enabled,
-                          consistency_weight=0.1 if mpt_enabled else 0.0)
-    res = tr.train_on_splits(splits, grid_hw, spec, model_cfg, tcfg, out_dir)
-    params = md.load_checkpoint(res.checkpoint_path)
-    rates = test_rates if test_rates is not None else [protocol.rate]
-    trajs = splits.get("test") or splits.get("val")
-    report = evaluate(params, trajs, protocol.pattern, rates,
-                      protocol.patch_size, seed=protocol.test_seed)
-    return res, report
-
-
-def ablate(splits, grid_hw, base_cfg: md.ModelConfig, axis: str,
-           protocol: Protocol, out_dir, token_sweep=None) -> list:
-    """Train/evaluate one configuration per point on the requested axis."""
-    if axis not in ABLATION_AXES:
-        raise EvalError(f"unknown ablation axis {axis!r}; "
-                        f"choose from {ABLATION_AXES}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    variants = []
-    if axis == "tokens":
-        for n in (token_sweep or TOKEN_SWEEP):
-            variants.append((f"tokens_{n}", replace(base_cfg, latent_tokens=n), True))
-    elif axis == "components":
-        variants = [
-            ("full", base_cfg, True),
-            ("wo_bf", replace(base_cfg, boundary_first=False), True),
-            ("wo_tm", replace(base_cfg, token_mixer="none"), True),
-            ("wo_mpt", base_cfg, False),
-        ]
-    else:
-        variants = [("mixer_mlp", replace(base_cfg, token_mixer="mlp"), True),
-                    ("mixer_attention", replace(base_cfg, token_mixer="attention"),
-                     True)]
-
-    rows = []
-    for name, cfg, mpt in variants:
-        _, report = _train_and_eval(splits, grid_hw, cfg, protocol,
-                                    out / name, mpt_enabled=mpt)
-        row = dict(report.rows[0])
-        row["variant"] = name
-        row["config_fingerprint"] = report.config_fingerprint
-        rows.append(row)
-    _write_rows(out / "ablation.csv", rows)
-    return rows
-
-
-RATE_MATRIX = ((0.05, (0.05, 0.25)), (0.25, (0.25, 0.50)), (0.50, (0.50, 0.75)))
-
-
-def bench_matrix(splits, grid_hw, base_cfg: md.ModelConfig, protocol: Protocol,
-                 out_dir) -> list:
-    """The train/test rate grid: three train rates, each tested at its own
-    rate and one step higher, for both missing patterns (12 cells)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for pattern in (mk.POINTWISE, mk.PATCHWISE):
-        for train_rate, test_rates in RATE_MATRIX:
-            proto = replace(protocol, pattern=pattern, rate=train_rate)
-            tag = f"{pattern}_{int(train_rate * 100):02d}"
-            _, report = _train_and_eval(splits, grid_hw, base_cfg, proto,
-                                        out / tag, test_rates=list(test_rates))
-            for r in report.rows:
-                row = dict(r)
-                row["train_rate"] = train_rate
-                row["config_fingerprint"] = report.config_fingerprint
-                rows.append(row)
-    _write_rows(out / "bench_matrix.csv", rows)
-    return rows
-
-
-def _write_rows(path, rows) -> None:
-    if not rows:
-        return
-    fields = sorted({k for r in rows for k in r})
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=fields)
-        w.writeheader()
-        w.writerows(rows)

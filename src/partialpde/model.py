@@ -157,9 +157,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def items(self):
         return self._params.items()
 
@@ -436,6 +433,9 @@ def config_from_text(text: str) -> ModelConfig:
             continue
         key, val = line.split("=", 1)
         kw[key] = _parse_literal(val)
+    missing = [f.name for f in fields(ModelConfig) if f.name not in kw]
+    if missing:
+        raise ValueError(f"missing config field(s) {', '.join(missing)}")
     return ModelConfig(**kw)
 
 

@@ -1,6 +1,11 @@
 """Mask-to-predict training: one-step supervised loss on observed points,
 artificial-mask input augmentation with a consistency term, AdamW, and a
 one-cycle learning-rate schedule.
+
+The ablation and train/test-rate matrix harnesses (`ablate`, `bench_matrix`)
+live here too: each of their runs is one `train_on_splits` call with a
+`MaskSpec` and a `TrainConfig`, scored on the test split by
+`evaluation.evaluate`.
 """
 
 from __future__ import annotations
@@ -8,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +189,6 @@ class TrainResult:
     metrics_path: Path
     best_val: float
     final_val: float
-    epochs_run: int
 
 
 def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
@@ -274,8 +278,7 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
 
     if not ckpt_path.exists():
         md.save_checkpoint(params, ckpt_path)
-    return TrainResult(ckpt_path, metrics_path, float(best_val),
-                       float(final_val), train_cfg.epochs)
+    return TrainResult(ckpt_path, metrics_path, float(best_val), float(final_val))
 
 
 def _train_step(params, state, coords, frames, targets, masks, mask_objs,
@@ -307,13 +310,74 @@ def _train_step(params, state, coords, frames, targets, masks, mask_objs,
     return float(loss.data)
 
 
-def train(dataset, mask_spec: MaskSpec, model_cfg: md.ModelConfig,
-          train_cfg: TrainConfig, out_dir) -> TrainResult:
-    """Train from a dataset directory/manifest written by the generator."""
-    manifest, splits = pg.read_dataset(dataset)
-    if model_cfg.phys_channels != manifest.channels:
-        raise ValueError(
-            f"config phys_channels {model_cfg.phys_channels} != dataset "
-            f"channels {manifest.channels}")
-    return train_on_splits(splits, (manifest.h, manifest.w), mask_spec,
-                           model_cfg, train_cfg, out_dir)
+# -- ablations and the rate matrix ---------------------------------------------------
+
+ABLATION_AXES = ("tokens", "components", "mixer")
+TOKEN_SWEEP = (1, 8, 16, 32, 64)
+RATE_MATRIX = ((0.05, (0.05, 0.25)), (0.25, (0.25, 0.50)), (0.50, (0.50, 0.75)))
+# every harness run scores the test split under the same seeded masks
+HARNESS_TEST_SEED = 1234
+
+
+def _train_and_eval(splits, grid_hw, model_cfg, mask_spec: MaskSpec,
+                    train_cfg: TrainConfig, out_dir, test_rates) -> list:
+    test = splits.get("test")
+    if not test:
+        # validation chose the checkpoint, so it cannot also score it
+        raise ev.EvalError("the harness scores on the 'test' split, "
+                           "and the dataset has none")
+    res = train_on_splits(splits, grid_hw, mask_spec, model_cfg, train_cfg, out_dir)
+    params = md.load_checkpoint(res.checkpoint_path)
+    return ev.evaluate(params, test, mask_spec.pattern, test_rates,
+                       mask_spec.patch_size, seed=HARNESS_TEST_SEED)
+
+
+def ablate(splits, grid_hw, base_cfg: md.ModelConfig, axis: str,
+           mask_spec: MaskSpec, train_cfg: TrainConfig, out_dir,
+           token_sweep=None) -> list:
+    """Train/evaluate one configuration per point on the requested axis."""
+    if axis not in ABLATION_AXES:
+        raise ev.EvalError(f"unknown ablation axis {axis!r}; "
+                           f"choose from {ABLATION_AXES}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if axis == "tokens":
+        variants = [(f"tokens_{n}", replace(base_cfg, latent_tokens=n), train_cfg)
+                    for n in (token_sweep or TOKEN_SWEEP)]
+    elif axis == "components":
+        variants = [
+            ("full", base_cfg, train_cfg),
+            ("wo_bf", replace(base_cfg, boundary_first=False), train_cfg),
+            ("wo_tm", replace(base_cfg, token_mixer="none"), train_cfg),
+            ("wo_mpt", base_cfg, replace(train_cfg, mpt_enabled=False)),
+        ]
+    else:
+        variants = [(f"mixer_{m}", replace(base_cfg, token_mixer=m), train_cfg)
+                    for m in ("mlp", "attention")]
+
+    rows = []
+    for name, cfg, tcfg in variants:
+        row, = _train_and_eval(splits, grid_hw, cfg, mask_spec, tcfg, out / name,
+                               [mask_spec.missing_rate])
+        rows.append({**row, "variant": name})
+    ev.write_rows(out / "ablation.csv", rows)
+    return rows
+
+
+def bench_matrix(splits, grid_hw, base_cfg: md.ModelConfig, mask_spec: MaskSpec,
+                 train_cfg: TrainConfig, out_dir) -> list:
+    """The train/test rate grid: three train rates, each tested at its own
+    rate and one step higher, for both missing patterns (12 cells).  Only the
+    patch size of `mask_spec` is used."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for pattern in (mk.POINTWISE, mk.PATCHWISE):
+        for train_rate, test_rates in RATE_MATRIX:
+            spec = replace(mask_spec, pattern=pattern, missing_rate=train_rate)
+            tag = f"{pattern}_{int(train_rate * 100):02d}"
+            rows += [{**r, "train_rate": train_rate}
+                     for r in _train_and_eval(splits, grid_hw, base_cfg, spec,
+                                              train_cfg, out / tag, test_rates)]
+    ev.write_rows(out / "bench_matrix.csv", rows)
+    return rows

@@ -1,8 +1,13 @@
+import csv
+from pathlib import Path
+
 import pytest
 
 from partialpde import cli
+from partialpde import masking as mk
 from partialpde import model as md
 from partialpde import pdegen as pg
+from partialpde import training as tr
 
 TINY_MODEL = ["--layers", "1", "--channels", "8", "--heads", "2", "--tokens", "2",
               "--history", "2", "--mlp-ratio", "1"]
@@ -39,14 +44,103 @@ def test_cli_chain_gen_data_to_dump(tmp_path, capsys):
             assert path.is_file() and path.stat().st_size > 0, path
     rows = (tmp_path / "eval.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("patchwise,0.25,")
+    assert rows[0] == ("pattern,test_rate,patch_size,mean_rel_l2,std_rel_l2,"
+                       "n_samples,config_fingerprint")
 
 
-def small_dataset(tmp_path, val=1):
+def small_dataset(tmp_path, val=1, test=1, t_steps=3):
     grid = pg.GridGeometry(8, 8)
-    traj = lambda s: pg.solve_diffusion_reaction(grid, seed=s, t_steps=3, dt=0.02)
-    pg.write_dataset({"train": [traj(0)], "val": [traj(1)][:val], "test": [traj(2)]},
-                     tmp_path / "ds")
+    traj = lambda s: pg.solve_diffusion_reaction(grid, seed=s, t_steps=t_steps,
+                                                 dt=0.02)
+    pg.write_dataset({"train": [traj(0)], "val": [traj(1)][:val],
+                      "test": [traj(2)][:test]}, tmp_path / "ds")
     return tmp_path / "ds"
+
+
+def tiny_checkpoint(tmp_path):
+    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
+                         history=2, phys_channels=2, mlp_ratio=1.0)
+    md.save_checkpoint(md.ModelParams(cfg), tmp_path / "m.pobw")
+    return tmp_path / "m.pobw"
+
+
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def record_training(monkeypatch):
+    """Record (run directory, mask spec, train config) of every training run."""
+    calls = []
+    train_on_splits = tr.train_on_splits
+
+    def recording(splits, grid_hw, mask_spec, model_cfg, train_cfg, out_dir):
+        calls.append((Path(out_dir).name, mask_spec, train_cfg))
+        return train_on_splits(splits, grid_hw, mask_spec, model_cfg, train_cfg,
+                               out_dir)
+
+    monkeypatch.setattr(tr, "train_on_splits", recording)
+    return calls
+
+
+def test_cli_ablate_components_turns_off_mpt_only_for_wo_mpt(tmp_path, capsys,
+                                                             monkeypatch):
+    calls = record_training(monkeypatch)
+    code, err = run(capsys, "ablate", "--data", small_dataset(tmp_path),
+                    "--axis", "components", *TINY_MODEL, "--epochs", 1,
+                    "--out", tmp_path / "ab")
+    assert code == 0 and err == []
+    names = ["full", "wo_bf", "wo_tm", "wo_mpt"]
+    assert [r["variant"] for r in read_csv(tmp_path / "ab" / "ablation.csv")] == names
+    assert [(name, tcfg.mpt_enabled) for name, _, tcfg in calls] == \
+        [(n, n != "wo_mpt") for n in names]
+    assert [spec for _, spec, _ in calls] == [tr.MaskSpec(mk.PATCHWISE, 0.25, 4)] * 4
+
+
+def test_cli_bench_matrix_writes_every_cell(tmp_path, capsys, monkeypatch):
+    calls = record_training(monkeypatch)
+    code, err = run(capsys, "bench-matrix", "--data", small_dataset(tmp_path),
+                    *TINY_MODEL, "--epochs", 1, "--out", tmp_path / "bm")
+    assert code == 0 and err == []
+    rows = read_csv(tmp_path / "bm" / "bench_matrix.csv")
+    cells = [(r["pattern"], float(r["train_rate"]), float(r["test_rate"]))
+             for r in rows]
+    assert cells == [(p, train, test) for p in (mk.POINTWISE, mk.PATCHWISE)
+                     for train, tests in tr.RATE_MATRIX for test in tests]
+    assert len(cells) == 12
+    assert [(spec.pattern, spec.missing_rate) for _, spec, _ in calls] == \
+        [(p, train) for p in (mk.POINTWISE, mk.PATCHWISE)
+         for train, _ in tr.RATE_MATRIX]
+
+
+@pytest.mark.parametrize("command", [["ablate", "--axis", "mixer"], ["bench-matrix"]])
+def test_cli_harness_without_a_test_split_is_an_error(tmp_path, capsys,
+                                                      monkeypatch, command):
+    calls = record_training(monkeypatch)
+    code, err = run(capsys, *command, "--data", small_dataset(tmp_path, test=0),
+                    *TINY_MODEL, "--epochs", 1, "--out", tmp_path / "h")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "'test'" in err[0]
+    assert calls == []
+
+
+def test_cli_eval_of_too_short_trajectories_is_an_error(tmp_path, capsys):
+    code, err = run(capsys, "eval", "--ckpt", tiny_checkpoint(tmp_path),
+                    "--data", small_dataset(tmp_path, t_steps=2),
+                    "--out", tmp_path / "e.csv")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "3 frames" in err[0]
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("rates", ["", ","])
+def test_cli_eval_without_rates_is_an_error(tmp_path, capsys, rates):
+    code, err = run(capsys, "eval", "--ckpt", tiny_checkpoint(tmp_path),
+                    "--data", small_dataset(tmp_path), "--rates", rates,
+                    "--out", tmp_path / "e.csv")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "rates" in err[0]
+    assert not (tmp_path / "e.csv").exists()
 
 
 @pytest.mark.parametrize("kernel", [0, 2])
@@ -59,10 +153,7 @@ def test_cli_train_rejects_an_unusable_kernel(tmp_path, capsys, kernel):
 
 
 def test_cli_eval_of_an_empty_split_is_an_error(tmp_path, capsys):
-    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
-                         history=2, phys_channels=2, mlp_ratio=1.0)
-    md.save_checkpoint(md.ModelParams(cfg), tmp_path / "m.pobw")
-    code, err = run(capsys, "eval", "--ckpt", tmp_path / "m.pobw",
+    code, err = run(capsys, "eval", "--ckpt", tiny_checkpoint(tmp_path),
                     "--data", small_dataset(tmp_path, val=0), "--split", "val",
                     "--out", tmp_path / "e.csv")
     assert code == 1

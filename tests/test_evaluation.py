@@ -32,11 +32,12 @@ def test_evaluate_runs_one_forward_per_trajectory_and_rate(monkeypatch):
         return predict_batch(params, trajs, masks)
 
     monkeypatch.setattr(ev, "predict_batch", recording)
-    report = ev.evaluate(params, trajs, mk.POINTWISE, rates, seed=seed)
+    rows = ev.evaluate(params, trajs, mk.POINTWISE, rates, seed=seed)
     monkeypatch.undo()
 
     assert calls == [[t] for _ in rates for t in trajs]
-    for ri, (rate, row) in enumerate(zip(rates, report.rows)):
+    assert len(rows) == len(rates)
+    for ri, (rate, row) in enumerate(zip(rates, rows)):
         masks = np.stack([
             mk.gen_mask(mk.POINTWISE, 8, 8, rate, seed=mk.derived_seed(seed, ri, j)).grid
             for j in range(len(trajs))])
@@ -45,16 +46,20 @@ def test_evaluate_runs_one_forward_per_trajectory_and_rate(monkeypatch):
         assert row["mean_rel_l2"] == float(np.mean(errs))
         assert row["std_rel_l2"] == float(np.std(errs))
         assert row["n_samples"] == len(trajs)
+        assert row["config_fingerprint"] == ev.config_fingerprint(cfg)
 
 
 def test_importing_the_cli_leaves_interpolation_modules_unloaded():
     src = Path(partialpde.__file__).resolve().parents[1]
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import partialpde.cli; "
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import partialpde.evaluation; "
+            "print('partialpde.training' in sys.modules); import partialpde.cli; "
             "print(sorted(m for m in ('scipy.interpolate', 'scipy.ndimage') "
             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, str(src)],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # evaluation must not import training: the harnesses that train live in training
+    assert out.stdout.split() == ["False", "[]"]
 
 
 @pytest.mark.parametrize("split", ["val", "train2"])

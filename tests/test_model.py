@@ -724,6 +724,21 @@ def test_checkpoint_unknown_config_key_is_checkpoint_error(tmp_path):
         md.load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(md.ModelConfig)])
+def test_checkpoint_missing_config_field_is_checkpoint_error(tmp_path, name):
+    # a default filled in for the lost line would load a different model
+    raw = saved_checkpoint(tmp_path)
+    (cfg_len,) = np.frombuffer(raw, dtype="<u4", count=1, offset=8)
+    lines = raw[12:12 + cfg_len].split(b"\n")
+    text = b"\n".join(ln for ln in lines if not ln.startswith(f"{name}=".encode()))
+    assert len(text) < cfg_len
+    bad = tmp_path / "bad.pobw"
+    bad.write_bytes(raw[:8] + len(text).to_bytes(4, "little") + text
+                    + raw[12 + cfg_len:])
+    with pytest.raises(md.CheckpointError, match=rf"missing config field\(s\) {name}$"):
+        md.load_checkpoint(bad)
+
+
 def test_checkpoint_trailing_bytes_are_rejected(tmp_path):
     raw = saved_checkpoint(tmp_path)
     bad = tmp_path / "bad.pobw"
