@@ -51,8 +51,8 @@ def _first_window_batch(trajs, history):
         raise EvalError(f"one-step evaluation needs {history + 1} frames per "
                         f"trajectory (history {history} + 1 target); the "
                         f"shortest has {shortest}")
-    frames = np.stack([t.frames[:history] for t in trajs]).astype(np.float32)
-    truths = np.stack([t.frames[history] for t in trajs]).astype(np.float32)
+    frames = np.stack([t.frames[:history] for t in trajs])
+    truths = np.stack([t.frames[history] for t in trajs])
     return frames, truths
 
 
@@ -61,7 +61,7 @@ def predict_batch(params: md.ModelParams, trajs, masks: np.ndarray):
     history = params.config.history
     frames, truths = _first_window_batch(trajs, history)
     coords = pg.GridGeometry(*frames.shape[2:4]).coords()
-    pred = md.lano_forward(coords, frames, masks.astype(np.float32), params)
+    pred = md.lano_forward(coords, frames, masks, params)
     return pred.data, truths
 
 
@@ -154,8 +154,9 @@ def _nearest_fill(field2d: np.ndarray, observed: np.ndarray) -> np.ndarray:
     return field2d[iy, ix]
 
 
-def interp_fill_baseline(frames: np.ndarray, m) -> np.ndarray:
-    """Complete unobserved cells by separable cubic interpolation.
+def interp_fill_baseline(frame: np.ndarray, m) -> np.ndarray:
+    """Complete the unobserved cells of one (H, W, C) frame by separable
+    cubic interpolation.
 
     Row-wise then column-wise natural splines inside the observed hull are
     averaged; cells neither pass reaches (large holes, hull exterior) fall
@@ -166,26 +167,20 @@ def interp_fill_baseline(frames: np.ndarray, m) -> np.ndarray:
     observed = grid.astype(bool)
     if observed.sum() < 4:
         raise EvalError("interpolation fill needs >= 4 observed points")
-    frames = np.asarray(frames, dtype=np.float64)
-    single = frames.ndim == 3
-    work = frames[None] if single else frames
-    if np.all(observed):
-        return frames.copy()
-
-    out = work.copy()
-    for t in range(work.shape[0]):
-        for c in range(work.shape[-1]):
-            f = work[t, ..., c]
-            rows = _fill_axis(f, observed, axis=1)
-            cols = _fill_axis(f, observed, axis=0)
-            both = np.stack([rows, cols])
-            with np.errstate(invalid="ignore"):
-                est = np.nanmean(both, axis=0)
-            missing = ~observed
-            still = missing & np.isnan(est)
-            if np.any(still):
-                est[still] = _nearest_fill(f, observed)[still]
-            g = f.copy()
-            g[missing] = est[missing]
-            out[t, ..., c] = g
-    return out[0] if single else out
+    out = np.array(frame, dtype=np.float64)
+    missing = ~observed
+    if not np.any(missing):
+        return out
+    for c in range(out.shape[-1]):
+        f = out[..., c]
+        both = np.stack([_fill_axis(f, observed, axis=1),
+                         _fill_axis(f, observed, axis=0)])
+        # the mean of the passes that reach a cell; NaN where neither does
+        count = (~np.isnan(both)).sum(axis=0)
+        est = np.divide(np.nansum(both, axis=0), count,
+                        out=np.full(f.shape, np.nan), where=count > 0)
+        still = missing & np.isnan(est)
+        if np.any(still):
+            est[still] = _nearest_fill(f, observed)[still]
+        f[missing] = est[missing]
+    return out

@@ -38,10 +38,6 @@ class ObservationMask:
     patch_size: int             # 0 for pointwise
     seed: int
 
-    @property
-    def shape(self):
-        return self.grid.shape
-
     def observed_fraction(self) -> float:
         return float(self.grid.mean())
 

@@ -47,6 +47,10 @@ class GridGeometry:
     h: int
     w: int
 
+    def __post_init__(self):
+        if self.h < 1 or self.w < 1:
+            raise ValueError(f"grid extents must be >= 1, got {self.h}x{self.w}")
+
     def coords(self) -> np.ndarray:
         """(H, W, 2) normalized positions in [0,1)^2, uniform spacing."""
         ys = np.arange(self.h, dtype=np.float64) / self.h
@@ -242,11 +246,18 @@ _DATA_HEADER = struct.Struct("<4sIBHHHBQ")
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
+    """Write one POBD file; a value the header cannot hold raises ValueError
+    before the file is created."""
     t_all, h, w, c = traj.frames.shape
+    for name, value, bits in (("T_all", t_all, 16), ("H", h, 16), ("W", w, 16),
+                              ("C", c, 8), ("seed", traj.seed, 64)):
+        if not 0 <= value < 2 ** bits:
+            raise ValueError(f"{path}: {name}={value} does not fit the header's "
+                             f"u{bits} field")
+    head = _DATA_HEADER.pack(DATA_MAGIC, DATA_VERSION, _KIND_CODES[traj.pde_kind],
+                             t_all, h, w, c, traj.seed)
     with open(path, "wb") as f:
-        f.write(_DATA_HEADER.pack(DATA_MAGIC, DATA_VERSION,
-                                  _KIND_CODES[traj.pde_kind],
-                                  t_all, h, w, c, traj.seed))
+        f.write(head)
         f.write(np.ascontiguousarray(traj.frames, dtype="<f4").tobytes())
 
 
@@ -284,9 +295,6 @@ class DatasetManifest:
     dt: float
     files: dict = field(default_factory=dict)    # split -> list of file names
     seeds: dict = field(default_factory=dict)    # split -> list of ints
-
-    def counts(self) -> dict:
-        return {k: len(v) for k, v in self.files.items()}
 
 
 def write_manifest(m: DatasetManifest, path) -> None:
@@ -332,9 +340,11 @@ def read_manifest(path) -> DatasetManifest:
 
 def write_dataset(trajs_by_split: dict, out_dir) -> DatasetManifest:
     """Write one POBD file per trajectory plus a manifest.txt."""
+    first = next((t for ts in trajs_by_split.values() for t in ts), None)
+    if first is None:
+        raise ValueError("a dataset needs at least one trajectory")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    first = next(t for ts in trajs_by_split.values() for t in ts)
     t_all, h, w, c = first.frames.shape
     m = DatasetManifest(first.pde_kind, h, w, c, t_all, first.dt)
     for split, trajs in trajs_by_split.items():

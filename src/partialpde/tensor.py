@@ -74,7 +74,6 @@ class GradientTape:
         self.recording = False
 
     def record(self, t: "Tensor") -> None:
-        t._node = len(self._nodes)
         self._nodes.append(t)
 
     def __len__(self):
@@ -106,21 +105,19 @@ def tape():
             t.requires_grad = False
             t._parents = ()
             t._vjp = None
-            t._node = None
         _TAPE._nodes.clear()
 
 
 class Tensor:
     """A dense n-dimensional array, optionally attached to the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_node")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._vjp: Optional[Callable] = None
-        self._node: Optional[int] = None
 
     # -- introspection ----------------------------------------------------
     @property
@@ -142,35 +139,18 @@ class Tensor:
     def is_leaf(self) -> bool:
         return self.requires_grad and self._vjp is None
 
-    def __repr__(self):
-        tag = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{tag})"
-
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
         return add(self, _lift(other, self))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, _lift(other, self))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self), self)
 
     def __mul__(self, other):
         return mul(self, _lift(other, self))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         return div(self, _lift(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, _lift(other, self))
@@ -181,18 +161,8 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
+    def mean(self):
+        return tmean(self)
 
 
 def _lift(x, like: Tensor) -> Tensor:
@@ -261,10 +231,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b),
                  lambda g: (_unbroadcast(g / b.data, a.shape),
                             _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -369,16 +335,12 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 
 def getitem(x: Tensor, idx) -> Tensor:
-    data = x.data[idx]
-    if not isinstance(data, np.ndarray):
-        data = np.asarray(data, dtype=x.data.dtype)
-
     def vjp(g):
         gx = np.zeros_like(x.data)
         gx[idx] = g
         return (gx,)
 
-    return _make(data.copy(), (x,), vjp)
+    return _make(x.data[idx].copy(), (x,), vjp)
 
 
 def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
@@ -409,18 +371,12 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(data, dtype=x.data.dtype), (x,), vjp)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.size if axis is None else np.prod(
-        [x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
-
+def tmean(x: Tensor) -> Tensor:
+    """Mean over every element: a scalar."""
     def vjp(g):
-        g = np.asarray(g) / count
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(np.asarray(g) / x.size, x.shape).copy(),)
 
-    return _make(np.asarray(data, dtype=x.data.dtype), (x,), vjp)
+    return _make(np.asarray(x.data.mean(), dtype=x.data.dtype), (x,), vjp)
 
 
 # -- convolution --------------------------------------------------------------
@@ -533,7 +489,7 @@ def backward(loss: Tensor) -> dict:
     """
     if loss.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad or loss._node is None:
+    if loss._vjp is None:
         raise TapeError("loss was not recorded inside a tape() block")
 
     grads: dict[int, np.ndarray] = {

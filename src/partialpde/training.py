@@ -97,15 +97,14 @@ def masked_one_step_loss(pred: Tensor, target: np.ndarray,
     return (per_sample * scale).mean()
 
 
-def consistency_loss(pred_clean, pred_masked: Tensor) -> Tensor:
+def consistency_loss(pred_clean: Tensor, pred_masked: Tensor) -> Tensor:
     """Full-domain mean squared gap between the two prediction branches.
 
     The clean branch is a fixed target: only its values are read, so
     gradient flows only through the masked-input branch.  `_train_step`
     computes it before the tape opens, so its forward records nothing.
     """
-    clean = pred_clean.data if isinstance(pred_clean, Tensor) else pred_clean
-    diff = pred_masked - np.asarray(clean, dtype=pred_masked.dtype)
+    diff = pred_masked - pred_clean.data
     return (diff * diff).mean()
 
 
@@ -180,7 +179,7 @@ def make_pairs(n_traj: int, t_all: int, history: int):
 def assemble_batch(trajs, pairs, history):
     frames = np.stack([trajs[j].frames[i - history:i] for j, i in pairs])
     targets = np.stack([trajs[j].frames[i] for j, i in pairs])
-    return frames.astype(np.float32), targets.astype(np.float32)
+    return frames, targets
 
 
 @dataclass
@@ -241,14 +240,10 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
                 batch_idx = order[start:start + train_cfg.batch_size]
                 batch_pairs = [pairs[i] for i in batch_idx]
                 frames, targets = assemble_batch(train, batch_pairs, history)
-                masks = np.stack([train_masks[j].grid for j, _ in batch_pairs]
-                                 ).astype(np.float32)
-
                 lr = one_cycle_lr(step, total_steps, train_cfg)
                 loss_val = _train_step(params, state, coords, frames, targets,
-                                       masks,
                                        [train_masks[j] for j, _ in batch_pairs],
-                                       mask_spec, train_cfg, rng, lr)
+                                       train_cfg, rng, lr)
                 if not np.isfinite(loss_val):
                     raise TrainingDiverged(f"loss became {loss_val} at step {step}")
                 epoch_losses.append(loss_val)
@@ -281,15 +276,14 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
     return TrainResult(ckpt_path, metrics_path, float(best_val), float(final_val))
 
 
-def _train_step(params, state, coords, frames, targets, masks, mask_objs,
-                mask_spec: MaskSpec, cfg: TrainConfig, rng, lr) -> float:
-    b = frames.shape[0]
+def _train_step(params, state, coords, frames, targets, mask_objs,
+                cfg: TrainConfig, rng, lr) -> float:
+    masks = np.stack([m.grid for m in mask_objs])
     if cfg.mpt_enabled:
         aug = np.empty_like(masks)
-        for i in range(b):
-            rate = rng.uniform(0, mask_spec.missing_rate)
-            m_aug, _ = mk.mpt_augment(mask_objs[i], rate,
-                                      seed=int(rng.integers(2 ** 32)))
+        for i, m in enumerate(mask_objs):
+            rate = rng.uniform(0, m.missing_rate)
+            m_aug, _ = mk.mpt_augment(m, rate, seed=int(rng.integers(2 ** 32)))
             aug[i] = m_aug.grid
     else:
         aug = masks

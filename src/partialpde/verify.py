@@ -13,7 +13,6 @@ independent numpy route to the propagator branch.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -183,6 +182,9 @@ def check_pointwise_monte_carlo():
 
 # -- dense kernel oracle -------------------------------------------------------
 
+ORACLE_MAX_POINTS = 256      # the dense kernel holds (heads, N, N) entries
+
+
 class OracleSizeError(ValueError):
     pass
 
@@ -206,8 +208,7 @@ def _np_softmax(x, axis=-1):
 
 
 def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
-                  y: np.ndarray, gh: int, gw: int,
-                  max_points: int = 256) -> KernelOracleResult:
+                  y: np.ndarray, gh: int, gw: int) -> KernelOracleResult:
     """Materialize one layer's propagator branch as a dense low-rank kernel.
 
     Independent numpy re-derivation: aggregation columns (eps-normalization
@@ -219,8 +220,8 @@ def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
     """
     cfg = params.config
     n = gh * gw
-    if n > max_points:
-        raise OracleSizeError(f"{n} points exceeds dense-kernel limit {max_points}")
+    if n > ORACLE_MAX_POINTS:
+        raise OracleSizeError(f"{n} points exceeds the limit {ORACLE_MAX_POINTS}")
     if cfg.token_mixer == "mlp":
         raise OracleSizeError("mlp token mixer does not fold into the kernel")
     mask = np.asarray(mask, dtype=np.float64).reshape(n)
@@ -275,10 +276,11 @@ def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
 
 # -- model checks --------------------------------------------------------------------
 
-def _oracle_instance(seed, gh=8, gw=8, mixer="none", missing=0.4):
+def _oracle_instance(seed, gh=8, gw=8, mixer="none", boundary_first=True,
+                     missing=0.4):
     cfg = md.ModelConfig(layers=1, channels=16, heads=2, latent_tokens=4,
                          history=2, phys_channels=1, token_mixer=mixer,
-                         mlp_ratio=1.0)
+                         mlp_ratio=1.0, boundary_first=boundary_first)
     params = md.ModelParams(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     params["L0.merge_w"].data = rng.normal(size=(16, 16)) / 4.0
@@ -293,10 +295,13 @@ def _oracle_instance(seed, gh=8, gw=8, mixer="none", missing=0.4):
 
 
 def check_kernel_oracle():
+    """20 instances cycle over both mixers that fold into the dense kernel
+    (none, attention), each with and without boundary-first propagation."""
     worst = 0.0
     for seed in range(20):
         gh = gw = (8, 12, 16)[seed % 3]
-        _, params, y, mask = _oracle_instance(seed, gh, gw)
+        mixer, bf = ("none", "attention")[seed // 2 % 2], seed % 2 == 0
+        _, params, y, mask = _oracle_instance(seed, gh, gw, mixer, bf)
         res = kernel_oracle(params, 0, mask, y, gh, gw)
         branch, _ = md.phlp_branch(Tensor(y[None]), mask[None], params, 0, gh, gw)
         worst = max(worst, np.abs(res.integral - branch.data[0]).max())
@@ -533,12 +538,10 @@ CHECKS = [
 ]
 
 
-def run_suite(groups=None, out_csv=None, tmp_dir=None) -> tuple[bool, list]:
+def run_suite(out_csv=None, tmp_dir=None) -> tuple[bool, list]:
     """Run the oracle suite at 64-bit; returns (all_passed, results)."""
     results = []
     for name, group, fn in CHECKS:
-        if groups and group not in groups:
-            continue
         t0 = time.perf_counter()
         try:
             with T.precision(np.float64):
@@ -551,10 +554,8 @@ def run_suite(groups=None, out_csv=None, tmp_dir=None) -> tuple[bool, list]:
         results.append(CheckResult(name, group, bool(ok), detail,
                                    time.perf_counter() - t0))
     if out_csv:
-        with open(out_csv, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["check", "group", "passed", "detail", "seconds"])
-            for r in results:
-                w.writerow([r.name, r.group, int(r.ok), r.detail,
-                            f"{r.seconds:.3f}"])
+        ev.write_rows(out_csv, [
+            {"check": r.name, "group": r.group, "passed": int(r.ok),
+             "detail": r.detail, "seconds": f"{r.seconds:.3f}"}
+            for r in results])
     return all(r.ok for r in results), results

@@ -175,3 +175,17 @@ def test_cli_dump_frame_must_exist(tmp_path, capsys, frame, code, name):
     else:
         assert len(err) == 1 and err[0].startswith("error:") and "frame" in err[0]
         assert not list((tmp_path / "d").glob("*.pgm"))
+
+
+@pytest.mark.parametrize("pde", ["ns", "dr"])
+@pytest.mark.parametrize("sizes, word", [
+    (["--grid", 0], "grid"),
+    (["--traj", 0, "--val", 0, "--test", 0], "trajectory"),
+])
+def test_cli_gen_data_of_nothing_is_an_error(tmp_path, capsys, pde, sizes, word):
+    code, err = run(capsys, "gen-data", "--pde", pde, "--grid", 8, "--traj", 1,
+                    "--val", 0, "--test", 0, "--tsteps", 3, *sizes,
+                    "--out", tmp_path / "ds")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
+    assert not (tmp_path / "ds" / "manifest.txt").exists()

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from partialpde import evaluation as ev
 from partialpde import masking as mk
 from partialpde import model as md
 from partialpde import pdegen as pg
+from partialpde import tensor as T
 
 
 def test_evaluate_runs_one_forward_per_trajectory_and_rate(monkeypatch):
@@ -74,3 +76,45 @@ def test_evaluate_checkpoint_rejects_an_empty_or_missing_split(tmp_path, split):
     with pytest.raises(ev.EvalError, match=f"split '{split}'"):
         ev.evaluate_checkpoint(tmp_path / "m.pobw", tmp_path / "ds", mk.PATCHWISE,
                                [0.25], split=split)
+
+
+def test_predict_batch_takes_a_uint8_mask_as_is():
+    # callers pass ObservationMask grids uncast; the model casts them
+    grid = pg.GridGeometry(8, 8)
+    trajs = [pg.solve_navier_stokes(grid, seed=s, t_steps=3, dt=0.05)
+             for s in range(2)]
+    cfg = md.ModelConfig(layers=2, channels=8, heads=2, latent_tokens=2,
+                         history=2, phys_channels=1, mlp_ratio=1.0)
+    params = md.ModelParams(cfg, seed=0)
+    params["L0.merge_w"].data = np.random.default_rng(1).normal(
+        size=(8, 8)).astype(np.float32)
+    u8 = np.stack([mk.gen_mask(mk.PATCHWISE, 8, 8, 0.5, seed=s).grid
+                   for s in range(2)])
+    f32 = u8.astype(np.float32)
+    assert u8.dtype == np.uint8
+    a, _ = ev.predict_batch(params, trajs, u8)
+    b, _ = ev.predict_batch(params, trajs, f32)
+    assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+    frames = np.stack([t.frames[:2] for t in trajs])
+    coords = grid.coords()
+    with T.tape():
+        c = md.lano_forward(coords, frames, u8, params)
+        d = md.lano_forward(coords, frames, f32, params)
+    assert c.data.tobytes() == d.data.tobytes() == a.tobytes()
+
+
+def test_interp_fill_of_cells_no_pass_reaches_warns_nothing():
+    # observed: the top-left 4x4 block only, so neither spline pass reaches
+    # the cells right of or below it, and every such cell takes the value
+    # of its nearest observed cell
+    rng = np.random.default_rng(0)
+    frame = rng.normal(size=(16, 16, 2))
+    grid = np.zeros((16, 16), dtype=np.uint8)
+    grid[:4, :4] = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filled = ev.interp_fill_baseline(frame, grid)
+    rows, cols = np.mgrid[0:16, 0:16]
+    nearest = frame[np.minimum(rows, 3), np.minimum(cols, 3)]
+    assert np.array_equal(filled, nearest)

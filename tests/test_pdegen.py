@@ -154,6 +154,16 @@ def test_trajectory_round_trip_bit_exact(tmp_path):
     assert (r.pde_kind, r.seed) == (traj.pde_kind, traj.seed)
 
 
+def test_trajectory_the_header_cannot_hold_writes_no_file(tmp_path):
+    # T_all is a u16 field
+    traj = pg.Trajectory(np.zeros((65536, 1, 1, 1), dtype=np.float32), 0.1,
+                         pg.DIFFUSION_REACTION, 0)
+    p = tmp_path / "t.pobd"
+    with pytest.raises(ValueError, match="T_all=65536"):
+        pg.write_trajectory(traj, p)
+    assert not p.exists()
+
+
 def test_header_only_file_is_truncation_error(tmp_path):
     traj = pg.solve_diffusion_reaction(GRID, seed=4, t_steps=5, dt=0.02)
     p = tmp_path / "t.pobd"
@@ -245,7 +255,7 @@ def test_dataset_round_trip_and_manifest(tmp_path):
         "val": [pg.solve_diffusion_reaction(GRID, seed=10, t_steps=4, dt=0.02)],
     }
     m = pg.write_dataset(trajs, tmp_path / "ds")
-    assert m.counts() == {"train": 3, "val": 1}
+    assert {k: len(v) for k, v in m.files.items()} == {"train": 3, "val": 1}
     m2, splits = pg.read_dataset(tmp_path / "ds")
     assert m2.pde_kind == pg.DIFFUSION_REACTION
     assert m2.seeds["train"] == [0, 1, 2]

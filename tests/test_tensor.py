@@ -182,13 +182,14 @@ PRIMITIVE_CASES = [
     ("sub", lambda a, b: a - b, 2),
     ("mul", lambda a, b: a * b, 2),
     ("div", lambda a, b: a / (b * b + 1.0), 2),
-    ("matmul", lambda a, b: T.matmul(a.reshape(3, 4), b.reshape(4, 3)), 2),
+    ("matmul", lambda a, b: T.matmul(T.reshape(a, (3, 4)), T.reshape(b, (4, 3))), 2),
     ("gelu", lambda a: T.gelu(a), 1),
-    ("layernorm", lambda a: T.layernorm(a.reshape(3, 4)), 1),
-    ("mean", lambda a: a.reshape(3, 4).mean(axis=1).sum() * 1.0, 1),
-    ("reshape_transpose", lambda a: T.transpose(a.reshape(3, 4), (1, 0)), 1),
-    ("concat", lambda a, b: T.concat([a.reshape(3, 4), b.reshape(3, 4)], axis=1), 2),
-    ("getitem", lambda a: a.reshape(3, 4)[1:, ::2], 1),
+    ("layernorm", lambda a: T.layernorm(T.reshape(a, (3, 4))), 1),
+    ("mean", lambda a: T.reshape(a, (3, 4)).mean(), 1),
+    ("reshape_transpose", lambda a: T.transpose(T.reshape(a, (3, 4)), (1, 0)), 1),
+    ("concat", lambda a, b: T.concat([T.reshape(a, (3, 4)), T.reshape(b, (3, 4))],
+                                     axis=1), 2),
+    ("getitem", lambda a: T.reshape(a, (3, 4))[1:, ::2], 1),
 ]
 
 

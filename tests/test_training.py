@@ -39,6 +39,18 @@ def test_loss_direct_average():
     assert float(loss.data) == pytest.approx(0.5)
 
 
+def test_loss_takes_a_uint8_mask_as_is():
+    rng = np.random.default_rng(3)
+    pred = Tensor(rng.normal(size=(2, 8, 8, 2)).astype(np.float32))
+    target = rng.normal(size=(2, 8, 8, 2)).astype(np.float32)
+    grids = np.stack([mk.gen_mask(mk.POINTWISE, 8, 8, 0.4, seed=s).grid
+                      for s in range(2)])
+    a = tr.masked_one_step_loss(pred, target, grids)
+    b = tr.masked_one_step_loss(pred, target, grids.astype(np.float32))
+    assert grids.dtype == np.uint8 and a.dtype == np.float32
+    assert a.data.tobytes() == b.data.tobytes()
+
+
 def test_loss_rejects_empty_mask():
     with pytest.raises(ValueError):
         tr.masked_one_step_loss(Tensor(np.zeros((1, 2, 2, 1))),
@@ -67,11 +79,11 @@ def test_loss_gradient_confined_to_observed_points():
 
 def test_consistency_identical_is_zero():
     p = np.random.default_rng(1).normal(size=(1, 4, 4, 1))
-    assert float(tr.consistency_loss(p, Tensor(p.copy())).data) == 0.0
+    assert float(tr.consistency_loss(Tensor(p), Tensor(p.copy())).data) == 0.0
 
 
 def test_consistency_constant_offset():
-    clean = np.zeros((1, 4, 4, 1))
+    clean = Tensor(np.zeros((1, 4, 4, 1)))
     masked = Tensor(np.full((1, 4, 4, 1), 0.3))
     assert float(tr.consistency_loss(clean, masked).data) == pytest.approx(0.09)
 
@@ -197,7 +209,7 @@ def test_full_mpt_loss_gradient_matches_finite_differences():
             0.2, seed=4)
         aug = m_aug.grid[None].astype(float)
 
-        clean = md.lano_forward(coords, frames, m, params).data.copy()
+        clean = md.lano_forward(coords, frames, m, params)
 
         with T.tape():
             grads = T.backward(mpt_loss_for_grad(params, coords, frames, targets,
