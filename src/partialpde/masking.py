@@ -55,6 +55,8 @@ def _check_rate(rate: float) -> None:
 def gen_pointwise_mask(h: int, w: int, missing_rate: float, seed: int) -> ObservationMask:
     """Each cell is independently unobserved with probability missing_rate."""
     _check_rate(missing_rate)
+    if h < 1 or w < 1:
+        raise MaskError(f"grid extents must be >= 1, got {h}x{w}")
     rng = np.random.default_rng(seed)
     grid = (rng.random((h, w)) >= missing_rate).astype(np.uint8)
     return ObservationMask(grid, POINTWISE, missing_rate, 0, seed)

@@ -58,13 +58,17 @@ class ModelConfig:
     boundary_first: bool = True
 
     def __post_init__(self):
+        if self.channels < 1 or self.heads < 1:
+            raise ValueError("channels and heads must be >= 1")
         if self.channels % self.heads:
             raise ValueError(
                 f"channels {self.channels} not divisible by heads {self.heads}")
         if self.layers < 1 or self.latent_tokens < 1:
             raise ValueError("layers and latent_tokens must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be finite and positive")
+        if not (np.isfinite(self.mlp_ratio) and self.mlp_ratio > 0):
+            raise ValueError("mlp_ratio must be finite and positive")
         if self.pconv_kernel < 1 or self.pconv_kernel % 2 == 0:
             raise ValueError(
                 f"pconv_kernel must be odd and >= 1, got {self.pconv_kernel}")
@@ -151,8 +155,7 @@ class ModelParams:
             else:
                 bound = 1.0 / np.sqrt(init[1])
                 arr = rng.uniform(-bound, bound, size=shape)
-            self._params[name] = Tensor(arr.astype(dtype), requires_grad=True,
-                                        dtype=dtype)
+            self._params[name] = Tensor(arr.astype(dtype), requires_grad=True)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -173,7 +176,7 @@ class ModelParams:
         clone = ModelParams.__new__(ModelParams)
         clone.config = self.config
         clone._params = {
-            name: Tensor(t.data.astype(dtype), requires_grad=True, dtype=dtype)
+            name: Tensor(t.data.astype(dtype), requires_grad=True)
             for name, t in self._params.items()
         }
         return clone
@@ -205,7 +208,7 @@ def temporal_aggregate(coords: np.ndarray, frames: np.ndarray,
     dtype = params["embed.w"].dtype
     x_in = np.concatenate(
         [np.broadcast_to(coords, (b, n, 2)), vals], axis=-1).astype(dtype)
-    return T.matmul(Tensor(x_in, dtype=dtype), params["embed.w"]) + params["embed.b"]
+    return T.matmul(Tensor(x_in), params["embed.w"]) + params["embed.b"]
 
 
 def _split_heads(y: Tensor, cfg: ModelConfig) -> Tensor:
@@ -248,11 +251,6 @@ def _window_counts(mask_grid: np.ndarray, k: int) -> np.ndarray:
     return win.sum(axis=(-2, -1))
 
 
-def _window_sizes(gh: int, gw: int, k: int) -> np.ndarray:
-    """In-bounds window size per cell (k*k in the interior, smaller at edges)."""
-    return _window_counts(np.ones((gh, gw)), k)
-
-
 def pconv_propagate(mask: np.ndarray, k: int, gh: int, gw: int):
     """Mask half of the boundary-first partial convolution.
 
@@ -266,7 +264,7 @@ def pconv_propagate(mask: np.ndarray, k: int, gh: int, gw: int):
     b = mask.shape[0]
     counts = _window_counts(mask.reshape(b, gh, gw), k)       # (B, gh, gw)
     observed = counts > 0
-    sizes = _window_sizes(gh, gw, k)
+    sizes = _window_counts(np.ones((gh, gw)), k)              # in-bounds window size
     factor = np.where(observed, sizes / np.where(observed, counts, 1.0), 0.0)
     return (factor.reshape(b, gh * gw),
             observed.reshape(b, gh * gw).astype(mask.dtype))
@@ -306,7 +304,7 @@ def _fused_numerator(z_mixed: Tensor, s: Tensor, factor, mask_next,
     cfg = params.config
     b, h, l, ch = z_mixed.shape
     dtype = z_mixed.dtype
-    ones = Tensor(np.ones((b, h, l, 1), dtype=dtype), dtype=dtype)
+    ones = Tensor(np.ones((b, h, l, 1), dtype=dtype))
     z1t = T.transpose(T.concat([z_mixed, ones], axis=-1), (0, 1, 3, 2))  # (B,H,C_h+1,L)
     if not cfg.boundary_first:
         return T.matmul(z1t, T.transpose(s, (0, 1, 3, 2)))
@@ -316,8 +314,8 @@ def _fused_numerator(z_mixed: Tensor, s: Tensor, factor, mask_next,
     wz = T.reshape(T.reshape(w, (h, k * k, 1, l)) * T.reshape(z1t, (b, h, 1, ch + 1, l)),
                    (b, h, k * k * (ch + 1), l))                  # tap-major
     bz = T.matmul(z1t, T.reshape(params[p + "pconv_b"], (h, l, 1)))     # (B, H, C_h+1, 1)
-    f = Tensor(factor[:, None, None, :].astype(dtype), dtype=dtype)
-    obs = Tensor(mask_next[:, None, None, :].astype(dtype), dtype=dtype)
+    f = Tensor(factor[:, None, None, :].astype(dtype))
+    obs = Tensor(mask_next[:, None, None, :].astype(dtype))
     return T.tap_contract(s, wz, k, gh, gw) * f + bz * obs
 
 

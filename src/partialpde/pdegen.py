@@ -88,6 +88,11 @@ def _band_limited_noise(h: int, w: int, seed: int, k_cut: int = 8,
     return out
 
 
+def _check_dt(dt: float) -> None:
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+
+
 def _check_finite(u: np.ndarray, kind: str, step: int) -> None:
     if not np.all(np.isfinite(u)) or np.abs(u).max() > DIVERGENCE_LIMIT:
         raise SolverDiverged(kind, step)
@@ -113,6 +118,7 @@ def solve_diffusion_reaction(grid: GridGeometry, seed: int, t_steps: int,
     """
     if t_steps < 2:
         raise ValueError("t_steps must be >= 2")
+    _check_dt(dt)
     hx = 1.0 / grid.w
     h_sq = hx * hx
     dmax = max(d_u, d_v)
@@ -183,6 +189,7 @@ def solve_navier_stokes(grid: GridGeometry, seed: int, t_steps: int, dt: float,
         raise ValueError("viscosity must be positive")
     if t_steps < 2:
         raise ValueError("t_steps must be >= 2")
+    _check_dt(dt)
 
     ky, kx, k_sq, k_sq_inv = _spectral_operators(h, w)
     kmax_y = (2 * np.pi) * (h // 2)
@@ -243,17 +250,25 @@ def kinetic_energy(omega: np.ndarray) -> float:
 # seed u64, then frames as little-endian float32 in (t, y, x, c) order.
 
 _DATA_HEADER = struct.Struct("<4sIBHHHBQ")
+_FIELD_BITS = {"T_all": 16, "H": 16, "W": 16, "C": 8, "seed": 64}
+
+
+def _check_header_fields(where, fields) -> None:
+    """Raise ValueError on the first (name, value) pair whose POBD header
+    field cannot hold the value."""
+    for name, value in fields:
+        bits = _FIELD_BITS[name]
+        if not 0 <= value < 2 ** bits:
+            raise ValueError(f"{where}: {name}={value} does not fit the header's "
+                             f"u{bits} field")
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
     """Write one POBD file; a value the header cannot hold raises ValueError
     before the file is created."""
     t_all, h, w, c = traj.frames.shape
-    for name, value, bits in (("T_all", t_all, 16), ("H", h, 16), ("W", w, 16),
-                              ("C", c, 8), ("seed", traj.seed, 64)):
-        if not 0 <= value < 2 ** bits:
-            raise ValueError(f"{path}: {name}={value} does not fit the header's "
-                             f"u{bits} field")
+    _check_header_fields(path, [("T_all", t_all), ("H", h), ("W", w), ("C", c),
+                                ("seed", traj.seed)])
     head = _DATA_HEADER.pack(DATA_MAGIC, DATA_VERSION, _KIND_CODES[traj.pde_kind],
                              t_all, h, w, c, traj.seed)
     with open(path, "wb") as f:
@@ -381,13 +396,20 @@ def read_dataset(path):
 def generate_dataset(pde_kind: str, grid: GridGeometry, counts: dict,
                      t_steps: int, dt: float, seed0: int, out_dir,
                      **solver_kw) -> DatasetManifest:
-    """Generate and write trajectories; splits are disjoint by seed."""
+    """Generate and write trajectories; splits are disjoint by seed.  The
+    counts and the values the file headers must hold are checked first."""
     solver = {NAVIER_STOKES: solve_navier_stokes,
               DIFFUSION_REACTION: solve_diffusion_reaction}[pde_kind]
+    splits = ("train", "val", "test")
+    sizes = [counts.get(split, 0) for split in splits]
+    if min(sizes) < 0:
+        raise ValueError(f"trajectory counts must be >= 0, got {counts}")
+    _check_header_fields(out_dir, [("T_all", t_steps), ("H", grid.h), ("W", grid.w),
+                                   ("seed", seed0),
+                                   ("seed", seed0 + max(sum(sizes) - 1, 0))])
     trajs = {}
     next_seed = seed0
-    for split in ("train", "val", "test"):
-        n = counts.get(split, 0)
+    for split, n in zip(splits, sizes):
         trajs[split] = [solver(grid, next_seed + i, t_steps, dt, **solver_kw)
                         for i in range(n)]
         next_seed += n

@@ -9,10 +9,11 @@ which is a valid reverse topological order for any graph built eagerly.
 The block clears the tape when it exits, also when it raises, so a forward
 that fails before its backward leaves no nodes behind.  Blocks do not nest.
 
-Precision is a process-wide switch: float32 for training, float64 for
-oracle checks (see `precision`).  Training keeps the parameters' dtype:
-the optimizer writes each update back in it, so every later forward, tape
-node and gradient of a run has the dtype the model was created with.
+A tensor keeps the dtype of its data, and every primitive returns the
+dtype its inputs give, so a model's parameters fix the precision of each
+forward, tape node and gradient it takes part in.  The optimizer writes
+each update back in the parameter's dtype.  `default_dtype` (switched by
+`precision`) only sets the dtype of newly created model parameters.
 """
 
 from __future__ import annotations
@@ -33,24 +34,18 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for newly created tensors (float32 or float64)."""
+@contextlib.contextmanager
+def precision(dtype):
+    """Temporarily switch the default parameter dtype (float32 or float64)."""
     global _DEFAULT_DTYPE
     dtype = np.dtype(dtype).type
     if dtype not in (np.float32, np.float64):
         raise ValueError(f"unsupported default dtype {dtype!r}")
-    _DEFAULT_DTYPE = dtype
-
-
-@contextlib.contextmanager
-def precision(dtype):
-    """Temporarily switch the default dtype (64-bit for verification runs)."""
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _DEFAULT_DTYPE = prev
 
 
 class ShapeMismatch(ValueError):
@@ -113,8 +108,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
+        if self.data.dtype.kind != "f":
+            raise TypeError(f"tensor data must be floating, got {self.data.dtype}")
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._vjp: Optional[Callable] = None
@@ -168,13 +165,12 @@ class Tensor:
 def _lift(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype), requires_grad=False,
-                  dtype=like.data.dtype)
+    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     """Wrap an op result; records a tape node iff some input is attached."""
-    out = Tensor(data, dtype=data.dtype)
+    out = Tensor(data)
     if _TAPE.recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -294,7 +290,7 @@ def gelu(x: Tensor) -> Tensor:
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
         return (g * (phi + x.data * pdf),)
 
-    return _make(y.astype(x.dtype, copy=False), (x,), vjp)
+    return _make(y, (x,), vjp)
 
 
 # -- shape manipulation ------------------------------------------------------

@@ -64,6 +64,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.learning_rate, self.weight_decay,
+                                       self.consistency_weight))):
+            raise ValueError("learning_rate, weight_decay and consistency_weight "
+                             "must be finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -72,6 +76,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.consistency_weight < 0:
             raise ValueError("consistency_weight must be >= 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
 
 
 # -- losses ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf
+from scipy.special import erf as _erf, softmax
 
 from . import evaluation as ev
 from . import masking as mk
@@ -201,10 +201,13 @@ def _np_gelu(x):
     return x * 0.5 * (1.0 + _erf(x * 0.7071067811865476))
 
 
-def _np_softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+def _np_depthwise_conv(x, w):
+    """Zero-padded per-channel k x k correlation, stride 1, same size:
+    x (..., C, H, W), w (C, k, k) -> (..., C, H, W)."""
+    pad = w.shape[-1] // 2
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad)] * 2)
+    win = np.lib.stride_tricks.sliding_window_view(xp, w.shape[-2:], axis=(-2, -1))
+    return np.einsum("...chwij,cij->...chw", win, w)
 
 
 def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
@@ -236,18 +239,16 @@ def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
 
     logits = _np_gelu(yh @ w("slice_w1") + w("slice_b1")) @ w("slice_w2") \
         + w("slice_b2")
-    s = _np_softmax(logits / cfg.temperature, axis=-1) * mask[None, :, None]
+    s = softmax(logits / cfg.temperature, axis=-1) * mask[None, :, None]
     psi = s / (s.sum(axis=1, keepdims=True) + md.EPS)          # (H, N, L)
 
     if cfg.boundary_first:
-        grid = s.transpose(0, 2, 1).reshape(h * l, gh, gw)
-        pad = k // 2
-        gp = np.pad(grid, [(0, 0), (pad, pad), (pad, pad)])
-        win = np.lib.stride_tricks.sliding_window_view(gp, (k, k), axis=(1, 2))
-        num = np.einsum("chwij,cij->chw", win, w("pconv_w"))
-        counts = md._window_counts(mask.reshape(gh, gw), k)
+        num = _np_depthwise_conv(s.transpose(0, 2, 1).reshape(h * l, gh, gw),
+                                 w("pconv_w"))
+        ones_k = np.ones((1, k, k))
+        counts = _np_depthwise_conv(mask.reshape(1, gh, gw), ones_k)[0]
         observed = counts > 0
-        sizes = md._window_sizes(gh, gw, k)
+        sizes = _np_depthwise_conv(np.ones((1, gh, gw)), ones_k)[0]
         factor = np.where(observed, sizes / np.where(observed, counts, 1.0), 0.0)
         s_next = num * factor + w("pconv_b")[:, None, None] * observed
         s_next = s_next.reshape(h, l, n).transpose(0, 2, 1)     # (H, N, L)
@@ -259,8 +260,8 @@ def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
 
     if cfg.token_mixer == "attention":
         z = np.einsum("hnl,hnc->hlc", psi, yh)
-        probs = _np_softmax((z @ w("mix_wq")) @ (z @ w("mix_wk")).transpose(0, 2, 1)
-                            / np.sqrt(ch), axis=-1)             # (H, L, L)
+        probs = softmax((z @ w("mix_wq")) @ (z @ w("mix_wk")).transpose(0, 2, 1)
+                        / np.sqrt(ch), axis=-1)                 # (H, L, L)
         kappa = np.einsum("hnl,hlm,hkm->hnk", phi, probs, psi)
         value_map = w("mix_wv")
     else:
@@ -281,12 +282,17 @@ def _oracle_instance(seed, gh=8, gw=8, mixer="none", boundary_first=True,
     cfg = md.ModelConfig(layers=1, channels=16, heads=2, latent_tokens=4,
                          history=2, phys_channels=1, token_mixer=mixer,
                          mlp_ratio=1.0, boundary_first=boundary_first)
-    params = md.ModelParams(cfg, seed=seed)
+    params = md.ModelParams(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
     params["L0.merge_w"].data = rng.normal(size=(16, 16)) / 4.0
     params["L0.merge_b"].data = rng.normal(size=16) * 0.1
     n = gh * gw
     y = rng.normal(size=(n, 16))
+    if boundary_first:
+        # positive taps and bias: a zero bias cancels the renormalization
+        # factor between each decoded row and its token sum
+        for name, lo, hi in (("L0.pconv_w", 0.05, 0.2), ("L0.pconv_b", 0.01, 0.1)):
+            params[name].data = rng.uniform(lo, hi, size=params[name].shape)
     mask = mk.gen_pointwise_mask(gh, gw, missing, seed=seed + 2) \
         .grid.reshape(n).astype(np.float64)
     if mask.sum() == 0:
@@ -341,7 +347,7 @@ def check_pconv_full_mask_reduction():
     depthwise conv plus bias, row-normalized and contracted with the tokens."""
     cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
                          history=1, phys_channels=1, token_mixer="none")
-    params = md.ModelParams(cfg, seed=5)
+    params = md.ModelParams(cfg, seed=5, dtype=np.float64)
     rng = np.random.default_rng(6)
     params["L0.pconv_w"].data = rng.uniform(0.1, 1.0, size=params["L0.pconv_w"].shape)
     params["L0.pconv_b"].data = rng.uniform(0.1, 0.5, size=params["L0.pconv_b"].shape)
@@ -352,8 +358,8 @@ def check_pconv_full_mask_reduction():
     got, m_next = md.phca_decode(Tensor(z), Tensor(s_arr), np.ones((1, 36)),
                                  params, 0, gh, gw)
     grid = s_arr.transpose(0, 1, 3, 2).reshape(1, 4, gh, gw)
-    conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
-    s_next = (conv.data + params["L0.pconv_b"].data[None, :, None, None]) \
+    conv = _np_depthwise_conv(grid, params["L0.pconv_w"].data)
+    s_next = (conv + params["L0.pconv_b"].data[None, :, None, None]) \
         .reshape(1, 2, 2, 36).transpose(0, 1, 3, 2)
     out_h = s_next / s_next.sum(axis=-1, keepdims=True) @ z       # (1, H, N, C_h)
     want = out_h.transpose(0, 2, 1, 3).reshape(1, 36, 8) @ params["L0.merge_w"].data \
@@ -365,7 +371,7 @@ def check_pconv_full_mask_reduction():
 def check_single_token_closed_forms():
     cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=1,
                          history=1, phys_channels=1, token_mixer="none")
-    params = md.ModelParams(cfg, seed=7)
+    params = md.ModelParams(cfg, seed=7, dtype=np.float64)
     rng = np.random.default_rng(8)
     n = 16
     yh = rng.normal(size=(1, 2, n, 4))
@@ -377,38 +383,37 @@ def check_single_token_closed_forms():
 
 
 def check_model_gradient_fd():
-    with T.precision(np.float64):
-        cfg = md.ModelConfig(layers=2, channels=8, heads=2, latent_tokens=2,
-                             history=2, phys_channels=1, mlp_ratio=1.0)
-        params = md.ModelParams(cfg, seed=0)
-        rng = np.random.default_rng(1)
-        for i in range(2):
-            params[f"L{i}.merge_w"].data = rng.normal(size=(8, 8)) * 0.2
-        gh = gw = 5
-        coords = pg.GridGeometry(gh, gw).coords()
-        frames = rng.normal(size=(1, 2, gh, gw, 1))
-        targets = rng.normal(size=(1, gh, gw, 1))
-        mask = mk.gen_pointwise_mask(gh, gw, 0.3, seed=3).grid[None].astype(float)
+    cfg = md.ModelConfig(layers=2, channels=8, heads=2, latent_tokens=2,
+                         history=2, phys_channels=1, mlp_ratio=1.0)
+    params = md.ModelParams(cfg, seed=0, dtype=np.float64)
+    rng = np.random.default_rng(1)
+    for i in range(2):
+        params[f"L{i}.merge_w"].data = rng.normal(size=(8, 8)) * 0.2
+    gh = gw = 5
+    coords = pg.GridGeometry(gh, gw).coords()
+    frames = rng.normal(size=(1, 2, gh, gw, 1))
+    targets = rng.normal(size=(1, gh, gw, 1))
+    mask = mk.gen_pointwise_mask(gh, gw, 0.3, seed=3).grid[None].astype(float)
 
-        def loss_t():
-            pred = md.lano_forward(coords, frames, mask, params)
-            return tr.masked_one_step_loss(pred, targets, mask)
+    def loss_t():
+        pred = md.lano_forward(coords, frames, mask, params)
+        return tr.masked_one_step_loss(pred, targets, mask)
 
-        with T.tape():
-            grads = T.backward(loss_t())
+    with T.tape():
+        grads = T.backward(loss_t())
 
-        def f():
-            return float(loss_t().data)
+    def f():
+        return float(loss_t().data)
 
-        worst = 0.0
-        rng2 = np.random.default_rng(2)
-        for name, p in params.items():
-            idxs = rng2.choice(p.size, size=min(2, p.size), replace=False)
-            fd = _fd_grad(f, p.data, idxs)
-            an = grads[p].reshape(-1)[idxs]
-            scale = max(np.abs(fd).max(), np.abs(an).max(), 1e-6)
-            worst = max(worst, np.abs(fd - an).max() / scale)
-        return worst < 1e-4, f"max group rel err {worst:.2e}"
+    worst = 0.0
+    rng2 = np.random.default_rng(2)
+    for name, p in params.items():
+        idxs = rng2.choice(p.size, size=min(2, p.size), replace=False)
+        fd = _fd_grad(f, p.data, idxs)
+        an = grads[p].reshape(-1)[idxs]
+        scale = max(np.abs(fd).max(), np.abs(an).max(), 1e-6)
+        worst = max(worst, np.abs(fd - an).max() / scale)
+    return worst < 1e-4, f"max group rel err {worst:.2e}"
 
 
 # -- training checks -------------------------------------------------------------------
@@ -416,7 +421,7 @@ def check_model_gradient_fd():
 def check_adam_first_step():
     cfg = md.ModelConfig(layers=1, channels=2, heads=1, latent_tokens=1,
                          history=1)
-    params = md.ModelParams(cfg, seed=0)
+    params = md.ModelParams(cfg, seed=0, dtype=np.float64)
     params["out.b"].data = np.zeros_like(params["out.b"].data)
     state = tr.TrainState(params)
     tcfg = tr.TrainConfig(weight_decay=0.0)
@@ -441,7 +446,7 @@ def check_descent_step():
     rng = np.random.default_rng(5)
     cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
                          history=2, phys_channels=1, mlp_ratio=1.0)
-    params = md.ModelParams(cfg, seed=1)
+    params = md.ModelParams(cfg, seed=1, dtype=np.float64)
     state = tr.TrainState(params)
     coords = pg.GridGeometry(8, 8).coords()
     frames = rng.normal(size=(2, 2, 8, 8, 1))
@@ -499,15 +504,14 @@ def check_round_trips(tmp_dir):
         mk.write_mask(m, mp)
         ok &= np.array_equal(mk.read_mask(mp).grid, m.grid)
 
-        with T.precision(np.float32):
-            cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
-                                 history=2, phys_channels=1)
-            params = md.ModelParams(cfg, seed=3)
-            cp = f"{td}/c.pobw"
-            md.save_checkpoint(params, cp)
-            loaded = md.load_checkpoint(cp)
-            ok &= all(np.array_equal(a.data, b.data)
-                      for (_, a), (_, b) in zip(params.items(), loaded.items()))
+        cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
+                             history=2, phys_channels=1)
+        params = md.ModelParams(cfg, seed=3, dtype=np.float32)
+        cp = f"{td}/c.pobw"
+        md.save_checkpoint(params, cp)
+        loaded = md.load_checkpoint(cp, dtype=np.float32)
+        ok &= all(np.array_equal(a.data, b.data)
+                  for (_, a), (_, b) in zip(params.items(), loaded.items()))
     return bool(ok), "dataset/mask/checkpoint round-trips bit-exact"
 
 
@@ -544,11 +548,10 @@ def run_suite(out_csv=None, tmp_dir=None) -> tuple[bool, list]:
     for name, group, fn in CHECKS:
         t0 = time.perf_counter()
         try:
-            with T.precision(np.float64):
-                if fn is check_round_trips:
-                    ok, detail = fn(tmp_dir)
-                else:
-                    ok, detail = fn()
+            if fn is check_round_trips:
+                ok, detail = fn(tmp_dir)
+            else:
+                ok, detail = fn()
         except Exception as e:  # a crash is a failure, not an abort
             ok, detail = False, f"exception: {e!r}"
         results.append(CheckResult(name, group, bool(ok), detail,

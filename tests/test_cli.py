@@ -152,6 +152,20 @@ def test_cli_train_rejects_an_unusable_kernel(tmp_path, capsys, kernel):
     assert not (tmp_path / "run" / "model.pobw").exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--heads", 0, "heads"), ("--channels", 0, "channels"),
+    ("--mlp-ratio", 0, "mlp_ratio"), ("--mlp-ratio", -3, "mlp_ratio"),
+    ("--temperature", "nan", "temperature"), ("--lr", "nan", "learning_rate"),
+    ("--weight-decay", -1, "weight_decay"),
+])
+def test_cli_train_rejects_an_unusable_setting(tmp_path, capsys, flag, value, field):
+    code, err = run(capsys, "train", "--data", small_dataset(tmp_path), *TINY_MODEL,
+                    flag, value, "--epochs", 1, "--out", tmp_path / "run")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+    assert not (tmp_path / "run" / "model.pobw").exists()
+
+
 def test_cli_eval_of_an_empty_split_is_an_error(tmp_path, capsys):
     code, err = run(capsys, "eval", "--ckpt", tiny_checkpoint(tmp_path),
                     "--data", small_dataset(tmp_path, val=0), "--split", "val",
@@ -189,3 +203,23 @@ def test_cli_gen_data_of_nothing_is_an_error(tmp_path, capsys, pde, sizes, word)
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
     assert not (tmp_path / "ds" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("pattern", ["point", "patch"])
+def test_cli_gen_mask_of_an_empty_grid_is_an_error(tmp_path, capsys, pattern):
+    code, err = run(capsys, "gen-mask", "--grid", 0, "--pattern", pattern,
+                    "--out", tmp_path / "m.pobm")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "grid" in err[0]
+    assert not (tmp_path / "m.pobm").exists()
+
+
+@pytest.mark.parametrize("pde, dt", [("ns", -1), ("ns", "nan"), ("dr", 0),
+                                     ("dr", "inf")])
+def test_cli_gen_data_rejects_an_unusable_dt(tmp_path, capsys, pde, dt):
+    code, err = run(capsys, "gen-data", "--pde", pde, "--grid", 8, "--traj", 1,
+                    "--val", 0, "--test", 0, "--tsteps", 3, "--dt", dt,
+                    "--out", tmp_path / "ds")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "dt" in err[0]
+    assert not (tmp_path / "ds").exists()

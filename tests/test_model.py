@@ -51,8 +51,19 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("pconv_kernel", 0), ("pconv_kernel", -1), ("pconv_kernel", 2),
     ("pconv_kernel", 4), ("history", 0), ("phys_channels", 0),
+    ("heads", 0), ("heads", -2), ("channels", 0), ("channels", -8),
 ])
 def test_config_rejects_unusable_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        md.ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("temperature", -1.0), ("temperature", float("nan")), ("temperature", float("inf")),
+    ("mlp_ratio", 0.0), ("mlp_ratio", -3.0), ("mlp_ratio", float("nan")),
+    ("mlp_ratio", float("inf")),
+])
+def test_config_rejects_unusable_scales(field, value):
     with pytest.raises(ValueError, match=field):
         md.ModelConfig(**{field: value})
 
@@ -712,6 +723,17 @@ def test_checkpoint_garbled_config_value_is_checkpoint_error(tmp_path):
     raw = saved_checkpoint(tmp_path)
     bad = tmp_path / "bad.pobw"
     bad.write_bytes(replace_config_line(raw, b"layers=2", b"layers=two"))
+    with pytest.raises(md.CheckpointError, match="bad config"):
+        md.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("old, new", [(b"heads=2", b"heads=0"),
+                                      (b"channels=16", b"channels=0"),
+                                      (b"temperature=0.5", b"temperature=nan")])
+def test_checkpoint_unusable_config_value_is_checkpoint_error(tmp_path, old, new):
+    raw = saved_checkpoint(tmp_path)
+    bad = tmp_path / "bad.pobw"
+    bad.write_bytes(replace_config_line(raw, old, new))
     with pytest.raises(md.CheckpointError, match="bad config"):
         md.load_checkpoint(bad)
 

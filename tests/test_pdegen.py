@@ -273,3 +273,20 @@ def test_generate_dataset_splits_disjoint(tmp_path):
                             t_steps=4, dt=0.02, seed0=100, out_dir=tmp_path / "g")
     seeds = [s for split in ("train", "val", "test") for s in m.seeds[split]]
     assert seeds == [100, 101, 102, 103]
+
+
+@pytest.mark.parametrize("t_steps, seed0, counts, match", [
+    (65536, 0, {"train": 1}, "T_all=65536"),
+    (3, 2 ** 64 - 1, {"train": 1, "test": 1}, "seed=18446744073709551616"),
+    (3, 0, {"train": -1, "val": 2}, "counts"),
+])
+def test_generate_dataset_checks_its_arguments_before_solving(
+        tmp_path, monkeypatch, t_steps, seed0, counts, match):
+    def no_solve(*args, **kw):
+        raise AssertionError("solver called")
+
+    monkeypatch.setattr(pg, "solve_diffusion_reaction", no_solve)
+    with pytest.raises(ValueError, match=match):
+        pg.generate_dataset(pg.DIFFUSION_REACTION, pg.GridGeometry(2, 2), counts,
+                            t_steps, 0.02, seed0, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()

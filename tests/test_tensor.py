@@ -3,6 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
+from partialpde import model as md
 from partialpde import tensor as T
 from partialpde.tensor import Tensor
 
@@ -368,7 +369,16 @@ def test_forward_determinism_same_seed():
 
 
 def test_precision_switch():
-    with T.precision(np.float32):
-        assert Tensor([1.0]).dtype == np.float32
-    with T.precision(np.float64):
-        assert Tensor([1.0]).dtype == np.float64
+    # the switch sets the dtype of new model parameters; a tensor keeps the
+    # dtype of its data
+    cfg = md.ModelConfig(layers=1, channels=2, heads=1, latent_tokens=1, history=1)
+    for dtype in (np.float32, np.float64):
+        with T.precision(dtype):
+            assert all(t.dtype == dtype for t in md.ModelParams(cfg).tensors())
+            assert Tensor(np.ones(2, dtype=np.float32)).dtype == np.float32
+            assert Tensor([1.0]).dtype == np.float64
+    with pytest.raises(TypeError, match="floating"):
+        Tensor(np.arange(3))
+    with pytest.raises(ValueError):
+        with T.precision(np.float16):
+            pass

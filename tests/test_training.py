@@ -341,6 +341,16 @@ def test_untrainable_config_is_rejected(field):
         tr.TrainConfig(**{field: 0})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("weight_decay", -1.0), ("weight_decay", float("nan")),
+    ("consistency_weight", float("inf")),
+])
+def test_train_config_rejects_unusable_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        tr.TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("flag, field", [("--epochs", "epochs"),
                                          ("--batch", "batch_size")])
 def test_cli_train_with_nothing_to_train_reports_an_error(tmp_path, capsys,
