@@ -8,13 +8,17 @@ observation mask) one partial-convolution step outward, mixes the tokens,
 and de-aggregates back to the grid.  Points the mask has not yet reached
 decode to zero; the observed set grows monotonically with depth.
 
+The maps S are stored token-major, (B, H, L, N): each token's map over
+the N grid points is one contiguous row, so the softmax over tokens and
+each token's sum over points both reduce across contiguous points.
+
 The propagated maps are never formed.  The partial convolution is linear and
 acts on each token's map separately, so it commutes with the decode
 contraction.  With Z1 = [Z | 1] the tokens plus a ones column, w_o and b the
 per-token kernel taps and bias, f the renormalization factor and obs the
 propagated mask:
 
-    num[n] = f[n] * sum_o shift_o(S @ (w_o * Z1))[n] + obs[n] * (b . Z1)
+    num[n] = f[n] * sum_o shift_o(S^T @ (w_o * Z1))[n] + obs[n] * (b . Z1)
     out[n] = num[n, :C_h] / num[n, C_h]          (zero where num[n, C_h] <= 0)
 
 `pconv_propagate` computes f and obs from the mask alone; `phca_decode`
@@ -225,30 +229,36 @@ def _merge_heads(yh: Tensor, cfg: ModelConfig) -> Tensor:
 def phca_encode(yh: Tensor, mask: np.ndarray, params: ModelParams, layer: int):
     """Aggregate observed per-point features into latent tokens.
 
-    yh: (B, H, N, C_h); mask: (B, N).  Returns (S, Z) with S masked so rows
-    at unobserved points are exactly zero, and Z the S-weighted average of
-    observed features (per-token column normalization, plus eps).
+    yh: (B, H, N, C_h); mask: (B, N).  Returns (S, Z): S the masked maps,
+    token-major (B, H, L, N) and softmaxed over the L tokens, with the
+    columns of unobserved points exactly zero; Z (B, H, L, C_h) the
+    S-weighted average of observed features (each token's map normalized
+    by its sum over points, plus eps).
     """
     cfg = params.config
     if np.any(mask.sum(axis=-1) == 0):
         raise DegenerateMaskError("a sample has no observed points to aggregate")
     p = f"L{layer}."
     hidden = T.gelu(T.matmul(yh, params[p + "slice_w1"]) + params[p + "slice_b1"])
-    logits = T.matmul(hidden, params[p + "slice_w2"]) + params[p + "slice_b2"]
-    s = T.softmax(logits * (1.0 / cfg.temperature), axis=-1)
-    mask_b = mask.astype(s.dtype)[:, None, :, None]
-    s = s * mask_b
-    denom = s.sum(axis=2, keepdims=True) + EPS           # (B, H, 1, L)
-    z = T.matmul(T.transpose(s, (0, 1, 3, 2)), yh) / T.transpose(denom, (0, 1, 3, 2))
+    logits = T.matmul(T.transpose(params[p + "slice_w2"], (0, 2, 1)),
+                      T.transpose(hidden, (0, 1, 3, 2))) \
+        + T.transpose(params[p + "slice_b2"], (0, 2, 1))       # (B, H, L, N)
+    s = T.softmax(logits * (1.0 / cfg.temperature), axis=-2)
+    s = s * mask.astype(s.dtype)[:, None, None, :]
+    denom = s.sum(axis=-1, keepdims=True) + EPS                 # (B, H, L, 1)
+    z = T.matmul(s, yh) / denom
     return s, z
 
 
 def _window_counts(mask_grid: np.ndarray, k: int) -> np.ndarray:
-    """Count observed cells in each kxk window (zero-padded)."""
+    """Count observed cells in each kxk window (zero-padded): k shifted adds
+    down the rows, then k across the columns, in float64."""
     pad = k // 2
-    mp = np.pad(mask_grid, [(0, 0)] * (mask_grid.ndim - 2) + [(pad, pad)] * 2)
-    win = np.lib.stride_tricks.sliding_window_view(mp, (k, k), axis=(-2, -1))
-    return win.sum(axis=(-2, -1))
+    gh, gw = mask_grid.shape[-2:]
+    mp = np.pad(mask_grid.astype(np.float64),
+                [(0, 0)] * (mask_grid.ndim - 2) + [(pad, pad)] * 2)
+    rows = sum(mp[..., i:i + gh, :] for i in range(k))
+    return sum(rows[..., j:j + gw] for j in range(k))
 
 
 def pconv_propagate(mask: np.ndarray, k: int, gh: int, gw: int):
@@ -300,14 +310,14 @@ def token_mix(z: Tensor, params: ModelParams, layer: int) -> Tensor:
 
 def _fused_numerator(z_mixed: Tensor, s: Tensor, factor, mask_next,
                      params: ModelParams, layer: int, gh: int, gw: int) -> Tensor:
-    """S_next @ [Z | 1] without forming S_next, transposed: (B, H, C_h+1, N)."""
+    """[Z | 1]^T @ S_next without forming S_next: (B, H, C_h+1, N)."""
     cfg = params.config
     b, h, l, ch = z_mixed.shape
     dtype = z_mixed.dtype
     ones = Tensor(np.ones((b, h, l, 1), dtype=dtype))
     z1t = T.transpose(T.concat([z_mixed, ones], axis=-1), (0, 1, 3, 2))  # (B,H,C_h+1,L)
     if not cfg.boundary_first:
-        return T.matmul(z1t, T.transpose(s, (0, 1, 3, 2)))
+        return T.matmul(z1t, s)
     k = cfg.pconv_kernel
     p = f"L{layer}."
     w = T.transpose(T.reshape(params[p + "pconv_w"], (h, l, k * k)), (0, 2, 1))
@@ -323,21 +333,23 @@ def phca_decode(z_mixed: Tensor, s: Tensor, mask: np.ndarray,
                 params: ModelParams, layer: int, gh: int, gw: int):
     """Propagate boundary-first, then de-aggregate tokens to every grid point.
 
-    s: the encoder's masked maps (B, H, N, L), not yet propagated; mask: the
-    layer's input mask (B, N).  Returns (branch (B, N, C), mask_next (B, N)).
+    s: the encoder's masked maps, token-major (B, H, L, N), not yet
+    propagated; mask: the layer's input mask (B, N).  Returns
+    (branch (B, N, C), mask_next (B, N)).
 
-    The decode maps are the propagated encoder maps S_next, row-normalized
-    over tokens.  Because the partial convolution is linear and acts per
-    token, it moves past the token contraction.  With Z1 = [Z | 1],
-    per-token kernel taps w_o and bias b, and f, obs from `pconv_propagate`:
+    The decode maps are the propagated encoder maps S_next, normalized over
+    the tokens at each point.  Because the partial convolution is linear
+    and acts per token, it moves past the token contraction.  With
+    Z1 = [Z | 1], per-token kernel taps w_o and bias b, and f, obs from
+    `pconv_propagate`, per head:
 
-        num = S_next @ Z1 = f * sum_o shift_o(S @ (w_o * Z1)) + obs * (b . Z1)
-        out = num[:, :C_h] / num[:, C_h]
+        num = Z1^T @ S_next = f * sum_o shift_o((w_o * Z1)^T @ S) + obs * (Z1^T @ b)
+        out = num[:C_h] / num[C_h]                        (C_h, N)
 
-    One `T.tap_contract` does the contraction and the shifted sum.  Rows
+    One `T.tap_contract` does the contraction and the shifted sum.  Points
     whose token sum is not positive decode to exact zero: points the mask
-    has not reached (sum 0), and rows that sign-mixed taps or bias drive to
-    zero or below.  Without boundary_first, num is Z1^T @ S^T.
+    has not reached (sum 0), and points that sign-mixed taps or bias drive
+    to zero or below.  Without boundary_first, num is Z1^T @ S.
     """
     cfg = params.config
     if cfg.boundary_first:

@@ -22,7 +22,6 @@ import contextlib
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 _DEFAULT_DTYPE = np.float32
 
@@ -283,7 +282,8 @@ def layernorm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
-    phi = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
+    from scipy.special import erf     # slow to import, so loaded on first use
+    phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     y = x.data * phi
 
     def vjp(g):
@@ -431,12 +431,12 @@ def _shift_slices(d: int, m: int):
 def tap_contract(s: Tensor, wz: Tensor, k: int, gh: int, gw: int) -> Tensor:
     """Contract maps with per-tap weights, then sum the taps' shifted grids.
 
-    s: (..., N, L) over the N = gh*gw cells of a row-major grid; wz:
-    (..., k*k*C, L), tap-major: row t*C + c belongs to kernel tap
+    s: (..., L, N), token-major over the N = gh*gw cells of a row-major
+    grid; wz: (..., k*k*C, L), tap-major: row t*C + c belongs to kernel tap
     t = i*k + j, at offset (di, dj) = (i - k//2, j - k//2).  Returns
     (..., C, N) with
 
-        out[..., c, (r, q)] = sum_t (wz_t @ s^T)[..., c, (r + di, q + dj)],
+        out[..., c, (r, q)] = sum_t (wz_t @ s)[..., c, (r + di, q + dj)],
 
     cells outside the grid reading zero: a zero-padded k x k correlation
     applied after the contraction.  The (..., k*k*C, N) intermediate is not
@@ -444,13 +444,13 @@ def tap_contract(s: Tensor, wz: Tensor, k: int, gh: int, gw: int) -> Tensor:
     and wz.
     """
     if (s.ndim < 2 or wz.ndim < 2 or k < 1 or k % 2 == 0
-            or s.shape[-2] != gh * gw or wz.shape[-1] != s.shape[-1]
+            or s.shape[-1] != gh * gw or wz.shape[-1] != s.shape[-2]
             or wz.shape[-2] % (k * k)):
         raise ShapeMismatch("tap_contract", s.shape, wz.shape)
     kk, p, n = k * k, k // 2, gh * gw
     c = wz.shape[-2] // kk
     try:
-        y = wz.data @ s.data.swapaxes(-1, -2)                  # (..., k*k*C, N)
+        y = wz.data @ s.data                                   # (..., k*k*C, N)
     except ValueError:
         raise ShapeMismatch("tap_contract", s.shape, wz.shape) from None
     lead = y.shape[:-2]
@@ -468,8 +468,8 @@ def tap_contract(s: Tensor, wz: Tensor, k: int, gh: int, gw: int) -> Tensor:
         for t, di, dj in taps:
             gy[..., t, :, :, :] = gp[..., p - di:p - di + gh, p - dj:p - dj + gw]
         gy = gy.reshape(lead + (kk * c, n))
-        gs = gy.swapaxes(-1, -2) @ wz.data
-        gwz = gy @ s.data
+        gs = wz.data.swapaxes(-1, -2) @ gy
+        gwz = gy @ s.data.swapaxes(-1, -2)
         return _unbroadcast(gs, s.shape), _unbroadcast(gwz, wz.shape)
 
     return _make(out.reshape(lead + (c, n)), (s, wz), vjp)

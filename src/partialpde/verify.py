@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf, softmax
 
 from . import evaluation as ev
 from . import masking as mk
@@ -198,7 +197,8 @@ class KernelOracleResult:
 
 
 def _np_gelu(x):
-    return x * 0.5 * (1.0 + _erf(x * 0.7071067811865476))
+    from scipy.special import erf
+    return x * 0.5 * (1.0 + erf(x * 0.7071067811865476))
 
 
 def _np_depthwise_conv(x, w):
@@ -221,6 +221,7 @@ def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
     Only mixer "none" (skip) and "attention" (folded as a learned token-to-
     token transformation) admit the factorization.
     """
+    from scipy.special import softmax
     cfg = params.config
     n = gh * gw
     if n > ORACLE_MAX_POINTS:
@@ -353,14 +354,13 @@ def check_pconv_full_mask_reduction():
     params["L0.pconv_b"].data = rng.uniform(0.1, 0.5, size=params["L0.pconv_b"].shape)
     params["L0.merge_w"].data = rng.normal(size=(8, 8))
     gh = gw = 6
-    s_arr = rng.random((1, 2, 36, 2))
+    s_arr = rng.random((1, 2, 2, 36))                             # (1, H, L, N)
     z = rng.normal(size=(1, 2, 2, 4))
     got, m_next = md.phca_decode(Tensor(z), Tensor(s_arr), np.ones((1, 36)),
                                  params, 0, gh, gw)
-    grid = s_arr.transpose(0, 1, 3, 2).reshape(1, 4, gh, gw)
-    conv = _np_depthwise_conv(grid, params["L0.pconv_w"].data)
+    conv = _np_depthwise_conv(s_arr.reshape(1, 4, gh, gw), params["L0.pconv_w"].data)
     s_next = (conv + params["L0.pconv_b"].data[None, :, None, None]) \
-        .reshape(1, 2, 2, 36).transpose(0, 1, 3, 2)
+        .reshape(1, 2, 2, 36).transpose(0, 1, 3, 2)               # (1, H, N, L)
     out_h = s_next / s_next.sum(axis=-1, keepdims=True) @ z       # (1, H, N, C_h)
     want = out_h.transpose(0, 2, 1, 3).reshape(1, 36, 8) @ params["L0.merge_w"].data \
         + params["L0.merge_b"].data

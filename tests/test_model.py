@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -114,7 +115,8 @@ def test_encode_rows_are_probabilities_then_masked_zero():
     mask = np.ones((1, n))
     mask[0, :5] = 0.0
 
-    # pre-mask: rows sum to one
+    # point-major reference: before the mask, each point's row of token
+    # weights sums to one
     p = f"L0."
     hidden = T.gelu(T.matmul(yh, params[p + "slice_w1"]) + params[p + "slice_b1"])
     logits = T.matmul(hidden, params[p + "slice_w2"]) + params[p + "slice_b2"]
@@ -122,7 +124,9 @@ def test_encode_rows_are_probabilities_then_masked_zero():
     assert np.abs(pre.data.sum(-1) - 1.0).max() < 1e-5
 
     s, z = md.phca_encode(yh, mask, params, 0)
-    assert np.all(s.data[0, :, :5, :] == 0.0)
+    assert s.shape == (1, cfg.heads, cfg.latent_tokens, n)      # token-major
+    assert np.all(s.data[0, :, :, :5] == 0.0)
+    assert np.abs(s.data[0, :, :, 5:] - pre.data[0, :, 5:].swapaxes(-1, -2)).max() < 1e-12
     assert z.shape == (1, cfg.heads, cfg.latent_tokens, cfg.head_dim)
 
 
@@ -176,7 +180,8 @@ def test_encode_all_unobserved_rejected():
 # -- partial convolution -----------------------------------------------------------
 # The boundary-first step is fused into the decode, so each property is checked
 # on the decode output against `decode_from_maps`, the two-step reference that
-# row-normalizes explicitly propagated maps S_next and contracts them with Z.
+# normalizes explicitly propagated maps S_next over the tokens at each point
+# and contracts them with Z.  Maps are token-major, (B, H, L, N).
 
 def pconv_setup(cfg, gh, gw, seed=0):
     params = md.ModelParams(cfg, seed=seed)
@@ -184,14 +189,14 @@ def pconv_setup(cfg, gh, gw, seed=0):
     params["L0.merge_w"].data = rng.normal(size=(cfg.channels, cfg.channels))
     params["L0.merge_b"].data = rng.normal(size=cfg.channels)
     n = gh * gw
-    s = rng.random((1, cfg.heads, n, cfg.latent_tokens))
+    s = rng.random((1, cfg.heads, cfg.latent_tokens, n))
     z = rng.normal(size=(1, cfg.heads, cfg.latent_tokens, cfg.head_dim))
     return params, s, z
 
 
 def decode_from_maps(s_next, z, params):
-    row = s_next.sum(axis=-1, keepdims=True)
-    out_h = s_next / np.where(row == 0.0, 1.0, row) @ z          # (B, H, N, C_h)
+    col = s_next.sum(axis=-2, keepdims=True)
+    out_h = (s_next / np.where(col == 0.0, 1.0, col)).swapaxes(-1, -2) @ z  # (B, H, N, C_h)
     b, h, n, ch = out_h.shape
     merged = out_h.transpose(0, 2, 1, 3).reshape(b, n, h * ch)
     return merged @ params["L0.merge_w"].data + params["L0.merge_b"].data
@@ -215,11 +220,27 @@ def test_pconv_full_mask_equals_standard_convolution():
 
     # oracle: plain depthwise convolution + bias (renormalization factor 1)
     hl = cfg.heads * cfg.latent_tokens
-    grid = s_arr.transpose(0, 1, 3, 2).reshape(1, hl, gh, gw)
+    grid = s_arr.reshape(1, hl, gh, gw)
     conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
     s_next = (conv.data + params["L0.pconv_b"].data[None, :, None, None]) \
-        .reshape(1, cfg.heads, cfg.latent_tokens, -1).transpose(0, 1, 3, 2)
+        .reshape(s_arr.shape)
     assert np.abs(got - decode_from_maps(s_next, z, params)).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 17])
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+def test_window_counts_match_a_cell_by_cell_count(k, dtype):
+    # k = 17: an all-ones window holds 289 cells, more than uint8 can count
+    rng = np.random.default_rng(k)
+    gh, gw, p = 20, 19, k // 2
+    grid = (rng.random((2, gh, gw)) > 0.3).astype(dtype)
+    grid[1] = 1
+    want = np.zeros(grid.shape)
+    for r in range(gh):
+        for q in range(gw):
+            want[:, r, q] = grid[:, max(0, r - p):r + p + 1,
+                                 max(0, q - p):q + p + 1].sum(axis=(1, 2), dtype=np.int64)
+    assert np.array_equal(md._window_counts(grid, k), want)
 
 
 def test_pconv_full_mask_factor_is_one():
@@ -233,7 +254,7 @@ def test_pconv_single_observed_cell_dilates_to_3x3():
     params, s_arr, z = pconv_setup(cfg, gh, gw)
     mask = np.zeros((1, gh, gw))
     mask[0, 4, 3] = 1.0
-    s_arr = s_arr * mask.reshape(1, 1, -1, 1)
+    s_arr = s_arr * mask.reshape(1, 1, 1, -1)
     want = np.zeros((gh, gw))
     want[3:6, 2:5] = 1.0
     _, m_next = md.pconv_propagate(mask.reshape(1, -1), 3, gh, gw)
@@ -271,7 +292,7 @@ def test_pconv_interior_renormalization_is_k2_over_count():
     vals = rng.random((gh, gw, 2))
     mask = (rng.random((gh, gw)) > 0.5).astype(np.float64)
     mask[3, 3], mask[2, 2] = 0.0, 1.0
-    s_arr = (vals * mask[..., None]).reshape(1, 1, -1, 2)
+    s_arr = (vals * mask[..., None]).reshape(-1, 2).T[None, None]    # (1, 1, L, N)
 
     factor, _ = md.pconv_propagate(mask.reshape(1, -1), 3, gh, gw)
     assert factor.reshape(gh, gw)[3, 3] == 9.0 / mask[2:5, 2:5].sum()
@@ -350,9 +371,9 @@ def check_single_token_reuse_decode(boundary_first):
     gh = gw = 4
     n = gh * gw
     rng = np.random.default_rng(4)
-    s_arr = np.zeros((1, cfg.heads, n, 1))
+    s_arr = np.zeros((1, cfg.heads, 1, n))
     observed = rng.random(n) > 0.6
-    s_arr[0, :, observed, 0] = rng.random((cfg.heads, int(observed.sum()))).T
+    s_arr[0, :, 0, observed] = rng.random((cfg.heads, int(observed.sum()))).T
     z = rng.normal(size=(1, cfg.heads, 1, cfg.head_dim))
     out, m_next = fused_decode(z, s_arr, observed[None].astype(np.float64),
                                params, gh, gw)
@@ -372,7 +393,7 @@ def check_single_token_reuse_decode(boundary_first):
 def test_decode_zero_rows_decode_to_zero():
     cfg = small_config(token_mixer="none", boundary_first=False)
     params, s_arr, z = pconv_setup(cfg, 4, 4, seed=7)
-    s_arr[:, :, 5] = 0.0
+    s_arr[..., 5] = 0.0
     mask = np.ones((1, 16))
     mask[0, 5] = 0.0
     out, _ = fused_decode(z, s_arr, mask, params, 4, 4)
@@ -386,7 +407,7 @@ def test_decode_rows_beyond_dilation_decode_to_merge_b():
     params["L0.pconv_b"].data = np.full(params["L0.pconv_b"].shape, 0.2)
     mask = np.zeros((1, gh, gw))
     mask[0, :2, :2] = 1.0
-    s_arr = s_arr * mask.reshape(1, 1, -1, 1)
+    s_arr = s_arr * mask.reshape(1, 1, 1, -1)
     out, _ = fused_decode(z, s_arr, mask.reshape(1, -1), params, gh, gw)
     out = out.reshape(gh, gw, -1)
     assert np.all(out[3:] == params["L0.merge_b"].data)
@@ -510,6 +531,36 @@ def test_grad_forward_keeps_no_conv_grid_on_tape():
         md.lano_forward(coords, frames, mask, params)
         assert len(tape) > 0
         assert all(t.shape != grid for t in tape._nodes)
+
+
+def test_forward_softmaxes_token_major_maps_and_contracts_once_per_layer(monkeypatch):
+    # perfbench's tracer wraps the module globals T.softmax and T.tap_contract;
+    # a call that bypasses them leaves its per-layer metrics at 0 without an error
+    softmax, tap_contract = T.softmax, T.tap_contract
+    softmaxed, taps = [], []
+
+    def counting_softmax(x, axis=-1):
+        softmaxed.append((x.shape, axis))
+        return softmax(x, axis=axis)
+
+    def counting_tap_contract(s, *args):
+        taps.append(s.shape)
+        return tap_contract(s, *args)
+
+    monkeypatch.setattr(T, "softmax", counting_softmax)
+    monkeypatch.setattr(T, "tap_contract", counting_tap_contract)
+    cfg = small_config(layers=3)                  # the attention mixer softmaxes too
+    params = md.ModelParams(cfg, seed=18)
+    b, gh, gw = 2, 6, 5
+    coords, frames, mask = random_inputs(cfg, gh, gw, b=b, seed=8)
+    maps = (b, cfg.heads, cfg.latent_tokens, gh * gw)
+    for scope in (T.tape, contextlib.nullcontext):
+        softmaxed.clear()
+        taps.clear()
+        with scope():
+            md.lano_forward(coords, frames, mask, params)
+        assert taps == [maps] * cfg.layers
+        assert [axis for shape, axis in softmaxed if shape == maps] == [-2] * cfg.layers
 
 
 # -- kernel oracle -------------------------------------------------------------------

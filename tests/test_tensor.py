@@ -33,6 +33,15 @@ def test_softmax_rows_are_probabilities():
     assert np.abs(s.sum(axis=-1) - 1.0).max() < 1e-6
 
 
+def test_softmax_over_axis_minus_2_matches_scipy():
+    # the encoder's token-major maps are softmaxed over axis -2
+    from scipy.special import softmax
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, 3, 5, 7)) * 3
+    s = T.softmax(Tensor(x), axis=-2).data
+    assert rel_err(s, softmax(x, axis=-2)) < 1e-14
+
+
 def test_layernorm_constant_vector_is_zero():
     y = T.layernorm(Tensor([2.5, 2.5, 2.5, 2.5]))
     assert np.all(y.data == 0.0)
@@ -185,6 +194,7 @@ PRIMITIVE_CASES = [
     ("div", lambda a, b: a / (b * b + 1.0), 2),
     ("matmul", lambda a, b: T.matmul(T.reshape(a, (3, 4)), T.reshape(b, (4, 3))), 2),
     ("gelu", lambda a: T.gelu(a), 1),
+    ("softmax_axis-2", lambda a: T.softmax(T.reshape(a, (3, 4)), axis=-2), 1),
     ("layernorm", lambda a: T.layernorm(T.reshape(a, (3, 4))), 1),
     ("mean", lambda a: T.reshape(a, (3, 4)).mean(), 1),
     ("reshape_transpose", lambda a: T.transpose(T.reshape(a, (3, 4)), (1, 0)), 1),
@@ -283,7 +293,7 @@ def tap_contract_reference(s, wz, k, gh, gw):
     for i in range(k):
         for j in range(k):
             t = i * k + j
-            y = wz[..., t * c:(t + 1) * c, :] @ s.swapaxes(-1, -2)
+            y = wz[..., t * c:(t + 1) * c, :] @ s
             grid = y.reshape(y.shape[:-1] + (gh, gw))
             pad = [(0, 0)] * (grid.ndim - 2) + [(p, p), (p, p)]
             win = np.lib.stride_tricks.sliding_window_view(
@@ -296,7 +306,7 @@ def tap_contract_reference(s, wz, k, gh, gw):
 def test_tap_contract_matches_sliding_window_reference(k, gh, gw):
     rng = np.random.default_rng(zlib.crc32(f"tap{k}{gh}{gw}".encode()))
     c, l = 3, 4
-    s = rng.normal(size=(2, 2, gh * gw, l))
+    s = rng.normal(size=(2, 2, l, gh * gw))
     wz = rng.normal(size=(2, 2, k * k * c, l))
     out = T.tap_contract(Tensor(s), Tensor(wz), k, gh, gw)
     assert out.shape == (2, 2, c, gh * gw)
@@ -308,10 +318,10 @@ def test_tap_contract_edge_cells_read_zero_outside_the_grid():
     # taps with di, dj <= 0
     rng = np.random.default_rng(5)
     gh, gw, c, l = 4, 5, 2, 3
-    s = rng.normal(size=(gh * gw, l))
+    s = rng.normal(size=(l, gh * gw))
     wz = rng.normal(size=(9 * c, l))
     out = T.tap_contract(Tensor(s), Tensor(wz), 3, gh, gw).data.reshape(c, gh, gw)
-    y = (wz @ s.T).reshape(3, 3, c, gh, gw)
+    y = (wz @ s).reshape(3, 3, c, gh, gw)
     first = sum(y[1 + di, 1 + dj, :, di, dj] for di in (0, 1) for dj in (0, 1))
     last = sum(y[1 + di, 1 + dj, :, gh - 1 + di, gw - 1 + dj]
                for di in (-1, 0) for dj in (-1, 0))
@@ -323,7 +333,7 @@ def test_tap_contract_edge_cells_read_zero_outside_the_grid():
 def test_tap_contract_gradients_match_finite_differences(k, gh, gw):
     rng = np.random.default_rng(zlib.crc32(f"tapfd{k}".encode()))
     c, l = 2, 3
-    s = rng.normal(size=(1, 2, gh * gw, l))
+    s = rng.normal(size=(1, 2, l, gh * gw))
     wz = rng.normal(size=(1, 2, k * k * c, l))
     cot = rng.normal(size=(1, 2, c, gh * gw))
 
@@ -342,9 +352,11 @@ def test_tap_contract_gradients_match_finite_differences(k, gh, gw):
 
 def test_tap_contract_rejects_mismatched_grid():
     with pytest.raises(T.ShapeMismatch, match="tap_contract"):
-        T.tap_contract(Tensor(np.zeros((12, 2))), Tensor(np.zeros((9, 2))), 3, 3, 5)
+        T.tap_contract(Tensor(np.zeros((2, 12))), Tensor(np.zeros((9, 2))), 3, 3, 5)
     with pytest.raises(T.ShapeMismatch, match="tap_contract"):
-        T.tap_contract(Tensor(np.zeros((15, 2))), Tensor(np.zeros((10, 2))), 3, 3, 5)
+        T.tap_contract(Tensor(np.zeros((2, 15))), Tensor(np.zeros((10, 2))), 3, 3, 5)
+    with pytest.raises(T.ShapeMismatch, match="tap_contract"):     # point-major map
+        T.tap_contract(Tensor(np.zeros((15, 2))), Tensor(np.zeros((9, 2))), 3, 3, 5)
 
 
 def test_broadcast_gradients():
