@@ -139,6 +139,10 @@ def read_mask(path) -> ObservationMask:
             raise MaskFormatError(f"{path}: unsupported version {version}")
         if pcode not in _PATTERN_NAMES:
             raise MaskFormatError(f"{path}: unknown pattern code {pcode}")
+        if h == 0 or w == 0:
+            raise MaskFormatError(f"{path}: empty {h}x{w} mask grid")
+        if not 0.0 <= rate < 1.0:
+            raise MaskFormatError(f"{path}: missing rate {rate} outside [0, 1)")
         nbytes = -(-h * w // 8)
         raw = f.read(nbytes)
         if len(raw) < nbytes:

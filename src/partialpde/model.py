@@ -47,6 +47,11 @@ class DegenerateMaskError(ValueError):
     pass
 
 
+# ModelConfig's annotations (strings under postponed evaluation) -> the
+# types a field's value may have; bool, an int subclass, only for bool fields
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
 @dataclass
 class ModelConfig:
     layers: int = 8
@@ -62,6 +67,11 @@ class ModelConfig:
     boundary_first: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not isinstance(v, _FIELD_TYPES[f.type]) or (
+                    isinstance(v, bool) and f.type != "bool"):
+                raise ValueError(f"{f.name} must be {f.type}, got {v!r}")
         if self.channels < 1 or self.heads < 1:
             raise ValueError("channels and heads must be >= 1")
         if self.channels % self.heads:

@@ -2,10 +2,13 @@
 
 Values live in numpy buffers.  Recording happens only inside a `tape()`
 block: there every primitive that touches a gradient-requiring input
-records a node with its vector-Jacobian product; outside one nothing is
-recorded and every result is a constant.  The tape is define-by-run:
-backward() replays the recorded nodes in exact reverse order of recording,
-which is a valid reverse topological order for any graph built eagerly.
+records a node holding one edge per such input, an (input, vjp) pair whose
+vjp maps the result's cotangent to that input's gradient.  Constant inputs
+get no edge, so no gradient is ever computed for them.  Outside a block
+nothing is recorded and every result is a constant.  The tape is
+define-by-run: backward() replays the recorded nodes in exact reverse order
+of recording, which is a valid reverse topological order for any graph
+built eagerly, and calls each node's edges in order.
 The block clears the tape when it exits, also when it raises, so a forward
 that fails before its backward leaves no nodes behind.  Blocks do not nest.
 
@@ -19,7 +22,7 @@ each update back in the parameter's dtype.  `default_dtype` (switched by
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,23 +100,21 @@ def tape():
         _TAPE.recording = False
         for t in _TAPE._nodes:
             t.requires_grad = False
-            t._parents = ()
-            t._vjp = None
+            t._edges = ()
         _TAPE._nodes.clear()
 
 
 class Tensor:
     """A dense n-dimensional array, optionally attached to the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_edges")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         if self.data.dtype.kind != "f":
             raise TypeError(f"tensor data must be floating, got {self.data.dtype}")
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._vjp: Optional[Callable] = None
+        self._edges: tuple = ()       # ((input, vjp), ...) of a tape node
 
     # -- introspection ----------------------------------------------------
     @property
@@ -133,7 +134,7 @@ class Tensor:
         return self.data.dtype
 
     def is_leaf(self) -> bool:
-        return self.requires_grad and self._vjp is None
+        return self.requires_grad and not self._edges
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -167,14 +168,19 @@ def _lift(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    """Wrap an op result; records a tape node iff some input is attached."""
+def _make(data: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
+    """Wrap an op result given one (input, vjp) edge per input.
+
+    Inside a tape the result keeps the edges whose input requires a
+    gradient, and is recorded as a node iff at least one is left.
+    """
     out = Tensor(data)
-    if _TAPE.recording and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
-        _TAPE.record(out)
+    if _TAPE.recording:
+        edges = tuple(e for e in edges if e[0].requires_grad)
+        if edges:
+            out.requires_grad = True
+            out._edges = edges
+            _TAPE.record(out)
     return out
 
 
@@ -195,8 +201,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeMismatch("add", a.shape, b.shape) from None
-    return _make(data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _make(data, (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -204,8 +210,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         data = a.data - b.data
     except ValueError:
         raise ShapeMismatch("sub", a.shape, b.shape) from None
-    return _make(data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return _make(data, (a, lambda g: _unbroadcast(g, a.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -213,9 +219,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeMismatch("mul", a.shape, b.shape) from None
-    return _make(data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+    return _make(data, (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -223,9 +228,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         data = a.data / b.data
     except ValueError:
         raise ShapeMismatch("div", a.shape, b.shape) from None
-    return _make(data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+    return _make(data, (a, lambda g: _unbroadcast(g / b.data, a.shape)),
+                 (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -237,13 +241,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError:
         raise ShapeMismatch("matmul", a.shape, b.shape) from None
-
-    def vjp(g):
-        ga = g @ b.data.swapaxes(-1, -2)
-        gb = a.data.swapaxes(-1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return _make(data, (a, b), vjp)
+    return _make(data,
+                 (a, lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)),
+                 (b, lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)))
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -254,11 +254,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
-
-    return _make(s, (x,), vjp)
+    return _make(s, (x, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True))))
 
 
 def layernorm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
@@ -275,9 +271,9 @@ def layernorm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     def vjp(g):
         gm = g.mean(axis=axis, keepdims=True)
         gym = (g * y).mean(axis=axis, keepdims=True)
-        return (r * (g - gm - y * gym),)
+        return r * (g - gm - y * gym)
 
-    return _make(y, (x,), vjp)
+    return _make(y, (x, vjp))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -288,9 +284,9 @@ def gelu(x: Tensor) -> Tensor:
 
     def vjp(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (phi + x.data * pdf),)
+        return g * (phi + x.data * pdf)
 
-    return _make(y, (x,), vjp)
+    return _make(y, (x, vjp))
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -298,18 +294,13 @@ def gelu(x: Tensor) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def vjp(g):
-        sl = [slice(None)] * g.ndim
-        pieces = []
-        for i in range(len(tensors)):
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            pieces.append(g[tuple(sl)])
-        return tuple(pieces)
+    def piece(i):
+        sl = (slice(None),) * (axis % data.ndim) + (slice(offsets[i], offsets[i + 1]),)
+        return lambda g: g[sl]
 
-    return _make(data, tensors, vjp)
+    return _make(data, *((t, piece(i)) for i, t in enumerate(tensors)))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -317,26 +308,22 @@ def reshape(x: Tensor, shape) -> Tensor:
         data = x.data.reshape(shape)
     except ValueError:
         raise ShapeMismatch("reshape", x.shape, tuple(shape)) from None
-    return _make(data, (x,), lambda g: (g.reshape(x.shape),))
+    return _make(data, (x, lambda g: g.reshape(x.shape)))
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
     data = x.data.transpose(axes)
     inv = None if axes is None else np.argsort(axes)
-
-    def vjp(g):
-        return (g.transpose(inv),)
-
-    return _make(data, (x,), vjp)
+    return _make(data, (x, lambda g: g.transpose(inv)))
 
 
 def getitem(x: Tensor, idx) -> Tensor:
     def vjp(g):
         gx = np.zeros_like(x.data)
         gx[idx] = g
-        return (gx,)
+        return gx
 
-    return _make(x.data[idx].copy(), (x,), vjp)
+    return _make(x.data[idx].copy(), (x, vjp))
 
 
 def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
@@ -346,11 +333,7 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
         data = np.where(mask, np.asarray(value, dtype=x.data.dtype), x.data)
     except ValueError:
         raise ShapeMismatch("masked_fill", x.shape, mask.shape) from None
-
-    def vjp(g):
-        return (np.where(mask, 0.0, g),)
-
-    return _make(data, (x,), vjp)
+    return _make(data, (x, lambda g: np.where(mask, 0.0, g)))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -362,17 +345,15 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return np.broadcast_to(g, x.shape).copy()
 
-    return _make(np.asarray(data, dtype=x.data.dtype), (x,), vjp)
+    return _make(np.asarray(data, dtype=x.data.dtype), (x, vjp))
 
 
 def tmean(x: Tensor) -> Tensor:
     """Mean over every element: a scalar."""
-    def vjp(g):
-        return (np.broadcast_to(np.asarray(g) / x.size, x.shape).copy(),)
-
-    return _make(np.asarray(x.data.mean(), dtype=x.data.dtype), (x,), vjp)
+    return _make(np.asarray(x.data.mean(), dtype=x.data.dtype),
+                 (x, lambda g: np.broadcast_to(np.asarray(g) / x.size, x.shape).copy()))
 
 
 # -- convolution --------------------------------------------------------------
@@ -406,21 +387,26 @@ def depthwise_conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
                         w.data[:, i, j][:, None, None], out=tmp)
             data += tmp
 
-    def vjp(g):
-        gw = np.empty_like(w.data)
+    def vjp_x(g):
         gxp = np.zeros_like(xp)
         tmp = np.empty_like(g)
         for i in range(kh):
             for j in range(kw):
-                sl = xp[..., i:i + oh, j:j + ow]
-                gw[:, i, j] = np.einsum("bchw,bchw->c", g, sl, optimize=True)
                 np.multiply(g, w.data[:, i, j][:, None, None], out=tmp)
                 gxp[..., i:i + oh, j:j + ow] += tmp
         if padding:
             gxp = gxp[..., padding:-padding, padding:-padding]
-        return gxp, gw
+        return gxp
 
-    return _make(data, (x, w), vjp)
+    def vjp_w(g):
+        gw = np.empty_like(w.data)
+        for i in range(kh):
+            for j in range(kw):
+                gw[:, i, j] = np.einsum("bchw,bchw->c", g, xp[..., i:i + oh, j:j + ow],
+                                        optimize=True)
+        return gw
+
+    return _make(data, (x, vjp_x), (w, vjp_w))
 
 
 def _shift_slices(d: int, m: int):
@@ -440,8 +426,8 @@ def tap_contract(s: Tensor, wz: Tensor, k: int, gh: int, gw: int) -> Tensor:
 
     cells outside the grid reading zero: a zero-padded k x k correlation
     applied after the contraction.  The (..., k*k*C, N) intermediate is not
-    kept; the vjp gathers the shifted cotangents and multiplies them with s
-    and wz.
+    kept; each edge's vjp gathers the shifted cotangents and multiplies
+    them with wz (for s) or s (for wz).
     """
     if (s.ndim < 2 or wz.ndim < 2 or k < 1 or k % 2 == 0
             or s.shape[-1] != gh * gw or wz.shape[-1] != s.shape[-2]
@@ -462,17 +448,22 @@ def tap_contract(s: Tensor, wz: Tensor, k: int, gh: int, gw: int) -> Tensor:
             (dr, sr), (dc, sc) = _shift_slices(di, gh), _shift_slices(dj, gw)
             out[..., dr, dc] += y[..., t, :, sr, sc]
 
-    def vjp(g):
+    def shifted(g):
+        # called by each edge: a gather kept for the other edge would stay
+        # alive on the tape when only one input needs a gradient
         gp = _pad2d(g.reshape(lead + (c, gh, gw)), p)
         gy = np.empty(lead + (kk, c, gh, gw), dtype=g.dtype)
         for t, di, dj in taps:
             gy[..., t, :, :, :] = gp[..., p - di:p - di + gh, p - dj:p - dj + gw]
-        gy = gy.reshape(lead + (kk * c, n))
-        gs = wz.data.swapaxes(-1, -2) @ gy
-        gwz = gy @ s.data.swapaxes(-1, -2)
-        return _unbroadcast(gs, s.shape), _unbroadcast(gwz, wz.shape)
+        return gy.reshape(lead + (kk * c, n))
 
-    return _make(out.reshape(lead + (c, n)), (s, wz), vjp)
+    def vjp_s(g):
+        return _unbroadcast(wz.data.swapaxes(-1, -2) @ shifted(g), s.shape)
+
+    def vjp_wz(g):
+        return _unbroadcast(shifted(g) @ s.data.swapaxes(-1, -2), wz.shape)
+
+    return _make(out.reshape(lead + (c, n)), (s, vjp_s), (wz, vjp_wz))
 
 
 # -- backward -----------------------------------------------------------------
@@ -485,7 +476,7 @@ def backward(loss: Tensor) -> dict:
     """
     if loss.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._vjp is None:
+    if not loss._edges:
         raise TapeError("loss was not recorded inside a tape() block")
 
     grads: dict[int, np.ndarray] = {
@@ -494,21 +485,18 @@ def backward(loss: Tensor) -> dict:
     leaves: dict[int, Tensor] = {}
     nodes = _TAPE._nodes
     for t in nodes:
-        for p in t._parents:
+        for p, _ in t._edges:
             if p.is_leaf():
                 leaves[id(p)] = p
 
     for t in reversed(nodes):
         g = grads.pop(id(t), None)
-        if g is None or t._vjp is None:
+        if g is None:
             continue
-        parent_grads = t._vjp(g)
-        for p, pg in zip(t._parents, parent_grads):
-            if not p.requires_grad:
-                continue
-            pg = np.asarray(pg, dtype=p.data.dtype).reshape(p.shape)
+        for p, vjp in t._edges:
+            pg = np.asarray(vjp(g), dtype=p.data.dtype).reshape(p.shape)
             acc = grads.get(id(p))
-            # out-of-place: vjps may hand the same array to several parents
+            # out-of-place: several edges may hand on the same array
             grads[id(p)] = pg if acc is None else acc + pg
 
     result: dict[Tensor, np.ndarray] = {}

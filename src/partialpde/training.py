@@ -208,7 +208,7 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gh, gw = grid_hw
-    train = splits["train"]
+    train = splits.get("train")
     val = splits.get("val") or []      # never the test split
     if not train:
         raise ValueError("empty training split")

@@ -9,6 +9,8 @@ from partialpde import model as md
 from partialpde import pdegen as pg
 from partialpde import training as tr
 
+from util import replace_config_line
+
 TINY_MODEL = ["--layers", "1", "--channels", "8", "--heads", "2", "--tokens", "2",
               "--history", "2", "--mlp-ratio", "1"]
 
@@ -164,6 +166,29 @@ def test_cli_train_rejects_an_unusable_setting(tmp_path, capsys, flag, value, fi
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
     assert not (tmp_path / "run" / "model.pobw").exists()
+
+
+def test_cli_eval_of_a_checkpoint_with_a_mistyped_config_is_an_error(tmp_path, capsys):
+    ckpt = tiny_checkpoint(tmp_path)
+    ckpt.write_bytes(replace_config_line(ckpt.read_bytes(), b"layers=1", b"layers=1.5"))
+    code, err = run(capsys, "eval", "--ckpt", ckpt, "--data", small_dataset(tmp_path),
+                    "--out", tmp_path / "e.csv")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "layers" in err[0]
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--axis", "mixer"]])
+def test_cli_dataset_without_a_train_split_is_an_error(tmp_path, capsys, command):
+    ds = small_dataset(tmp_path)
+    manifest = ds / "manifest.txt"
+    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                if not line.startswith("train_")))
+    code, err = run(capsys, *command, "--data", ds, *TINY_MODEL, "--epochs", 1,
+                    "--out", tmp_path / "run")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "training split" in err[0]
+    assert not list((tmp_path / "run").glob("**/*.pobw"))
 
 
 def test_cli_eval_of_an_empty_split_is_an_error(tmp_path, capsys):

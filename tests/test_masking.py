@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,24 @@ def test_mask_file_truncated_at_each_header_boundary(tmp_path, keep):
     (tmp_path / "t.pobm").write_bytes(raw[:keep])
     with pytest.raises(mk.MaskFormatError, match="truncated"):
         mk.read_mask(tmp_path / "t.pobm")
+
+
+@pytest.mark.parametrize("h, w", [(0, 8), (8, 0), (0, 0)])
+def test_mask_file_with_an_empty_grid_is_rejected(tmp_path, h, w):
+    # header only: an empty grid has no payload bytes
+    raw = written_mask_bytes(tmp_path)[:23] + struct.pack("<HH", h, w)
+    (tmp_path / "e.pobm").write_bytes(raw)
+    with pytest.raises(mk.MaskFormatError, match="empty"):
+        mk.read_mask(tmp_path / "e.pobm")
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.25, float("nan")])
+def test_mask_file_with_a_rate_outside_0_1_is_rejected(tmp_path, rate):
+    raw = bytearray(written_mask_bytes(tmp_path))
+    raw[9:13] = struct.pack("<f", rate)
+    (tmp_path / "r.pobm").write_bytes(bytes(raw))
+    with pytest.raises(mk.MaskFormatError, match="rate"):
+        mk.read_mask(tmp_path / "r.pobm")
 
 
 def test_mask_file_trailing_bytes_are_rejected(tmp_path):

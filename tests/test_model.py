@@ -11,7 +11,7 @@ from partialpde import tensor as T
 from partialpde import verify as vf
 from partialpde.tensor import Tensor
 
-from util import corrupt_decode_normalization
+from util import corrupt_decode_normalization, replace_config_line
 
 
 @pytest.fixture(autouse=True)
@@ -67,6 +67,20 @@ def test_config_rejects_unusable_sizes(field, value):
 def test_config_rejects_unusable_scales(field, value):
     with pytest.raises(ValueError, match=field):
         md.ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("layers", 1.5), ("channels", 8.0), ("history", 1.0), ("layers", True),
+    ("temperature", True), ("temperature", "0.5"), ("boundary_first", "x"),
+    ("boundary_first", 1), ("token_mixer", 1),
+])
+def test_config_rejects_a_value_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        md.ModelConfig(**{field: value})
+
+
+def test_config_float_fields_take_an_int():
+    assert md.ModelConfig(temperature=1, mlp_ratio=3).temperature == 1
 
 
 def test_config_accepts_smallest_sizes():
@@ -764,12 +778,6 @@ def saved_checkpoint(tmp_path):
     return p.read_bytes()
 
 
-def replace_config_line(raw, old, new):
-    (cfg_len,) = np.frombuffer(raw, dtype="<u4", count=1, offset=8)
-    text = raw[12:12 + cfg_len].replace(old, new)
-    return raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + cfg_len:]
-
-
 def test_checkpoint_garbled_config_value_is_checkpoint_error(tmp_path):
     raw = saved_checkpoint(tmp_path)
     bad = tmp_path / "bad.pobw"
@@ -780,7 +788,11 @@ def test_checkpoint_garbled_config_value_is_checkpoint_error(tmp_path):
 
 @pytest.mark.parametrize("old, new", [(b"heads=2", b"heads=0"),
                                       (b"channels=16", b"channels=0"),
-                                      (b"temperature=0.5", b"temperature=nan")])
+                                      (b"temperature=0.5", b"temperature=nan"),
+                                      (b"layers=2", b"layers=1.5"),
+                                      (b"channels=16", b"channels=8.0"),
+                                      (b"history=3", b"history=1.0"),
+                                      (b"boundary_first=True", b"boundary_first='x'")])
 def test_checkpoint_unusable_config_value_is_checkpoint_error(tmp_path, old, new):
     raw = saved_checkpoint(tmp_path)
     bad = tmp_path / "bad.pobw"

@@ -187,46 +187,70 @@ def test_mlp_gradients_match_finite_differences():
         assert rel_err(grads[p], fd) < 1e-6, f"param {i}"
 
 
+def concat_fn(a, b):
+    return T.concat([T.reshape(a, (3, 4)), T.reshape(b, (3, 4))], axis=1)
+
+
+# (name, fn, kinds): one letter per argument, "g" requires a gradient and
+# "c" is a constant
 PRIMITIVE_CASES = [
-    ("add", lambda a, b: a + b, 2),
-    ("sub", lambda a, b: a - b, 2),
-    ("mul", lambda a, b: a * b, 2),
-    ("div", lambda a, b: a / (b * b + 1.0), 2),
-    ("matmul", lambda a, b: T.matmul(T.reshape(a, (3, 4)), T.reshape(b, (4, 3))), 2),
-    ("gelu", lambda a: T.gelu(a), 1),
-    ("softmax_axis-2", lambda a: T.softmax(T.reshape(a, (3, 4)), axis=-2), 1),
-    ("layernorm", lambda a: T.layernorm(T.reshape(a, (3, 4))), 1),
-    ("mean", lambda a: T.reshape(a, (3, 4)).mean(), 1),
-    ("reshape_transpose", lambda a: T.transpose(T.reshape(a, (3, 4)), (1, 0)), 1),
-    ("concat", lambda a, b: T.concat([T.reshape(a, (3, 4)), T.reshape(b, (3, 4))],
-                                     axis=1), 2),
-    ("getitem", lambda a: T.reshape(a, (3, 4))[1:, ::2], 1),
+    ("add", lambda a, b: a + b, "gg"),
+    ("add_const", lambda a, b: a + b, "cg"),
+    ("sub", lambda a, b: a - b, "gg"),
+    ("sub_const", lambda a, b: a - b, "cg"),
+    ("mul", lambda a, b: a * b, "gg"),
+    ("mul_const", lambda a, b: a * b, "gc"),
+    ("div", lambda a, b: a / (b * b + 1.0), "gg"),
+    ("div_const", lambda a, b: a / (b * b + 1.0), "gc"),
+    ("matmul", lambda a, b: T.matmul(T.reshape(a, (3, 4)), T.reshape(b, (4, 3))), "gg"),
+    ("matmul_const", lambda a, b: T.matmul(T.reshape(a, (3, 4)), T.reshape(b, (4, 3))),
+     "cg"),
+    ("gelu", lambda a: T.gelu(a), "g"),
+    ("softmax_axis-2", lambda a: T.softmax(T.reshape(a, (3, 4)), axis=-2), "g"),
+    ("layernorm", lambda a: T.layernorm(T.reshape(a, (3, 4))), "g"),
+    ("mean", lambda a: T.reshape(a, (3, 4)).mean(), "g"),
+    ("reshape_transpose", lambda a: T.transpose(T.reshape(a, (3, 4)), (1, 0)), "g"),
+    ("concat", concat_fn, "gg"),
+    ("concat_const", concat_fn, "gc"),
+    ("getitem", lambda a: T.reshape(a, (3, 4))[1:, ::2], "g"),
 ]
 
 
-@pytest.mark.parametrize("name,fn,nargs", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
-def test_primitive_gradients_match_finite_differences(name, fn, nargs):
+@pytest.mark.parametrize("name,fn,kinds", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+def test_primitive_gradients_match_finite_differences(name, fn, kinds):
     # random-cotangent objective: a near-constant one such as ||fn(x)||^2 / 2
     # for layernorm leaves central differences dominated by roundoff
     rng = np.random.default_rng(zlib.crc32(name.encode()))
-    arrays = [rng.normal(size=12) for _ in range(nargs)]
+    arrays = [rng.normal(size=12) for _ in kinds]
     cot = rng.normal(size=fn(*[Tensor(a) for a in arrays]).shape)
 
     def run(arrs, grad=False):
-        ps = [Tensor(a, requires_grad=grad) for a in arrs]
+        ps = [Tensor(a, requires_grad=grad and k == "g") for a, k in zip(arrs, kinds)]
         return ps, (fn(*ps) * cot).sum()
 
     with T.tape():
         ps, loss = run(arrays, grad=True)
         grads = T.backward(loss)
+    assert set(grads) == {p for p, k in zip(ps, kinds) if k == "g"}
 
     def f(arrs):
         _, val = run(arrs)
         return float(val.data)
 
     for i, p in enumerate(ps):
-        fd = central_diff_grad(f, [a.copy() for a in arrays], i, step=1e-5)
-        assert rel_err(grads[p], fd) < 1e-6, name
+        if kinds[i] == "g":
+            fd = central_diff_grad(f, [a.copy() for a in arrays], i, step=1e-5)
+            assert rel_err(grads[p], fd) < 1e-6, name
+
+
+def test_constant_operand_gets_no_gradient():
+    # the constant side's gradient would square 1e30 and overflow float32
+    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    big = Tensor(np.full(3, 1e30, np.float32))
+    with T.tape():
+        grads = T.backward(T.div(x, big).sum())
+    assert list(grads) == [x]
+    assert np.array_equal(grads[x], np.full(3, 1e-30, np.float32))
 
 
 def test_softmax_gradient_bounded_logits():
@@ -329,25 +353,31 @@ def test_tap_contract_edge_cells_read_zero_outside_the_grid():
     assert np.abs(out[:, -1, -1] - last).max() < 1e-13
 
 
-@pytest.mark.parametrize("k,gh,gw", [(1, 2, 3), (3, 3, 4)])
-def test_tap_contract_gradients_match_finite_differences(k, gh, gw):
+@pytest.mark.parametrize("k,gh,gw,const", [
+    pytest.param(1, 2, 3, None, id="1-2-3"), pytest.param(3, 3, 4, None, id="3-3-4"),
+    pytest.param(3, 3, 4, "s", id="3-3-4-const_s"),
+    pytest.param(3, 3, 4, "wz", id="3-3-4-const_wz"),
+])
+def test_tap_contract_gradients_match_finite_differences(k, gh, gw, const):
     rng = np.random.default_rng(zlib.crc32(f"tapfd{k}".encode()))
     c, l = 2, 3
     s = rng.normal(size=(1, 2, l, gh * gw))
     wz = rng.normal(size=(1, 2, k * k * c, l))
     cot = rng.normal(size=(1, 2, c, gh * gw))
 
-    st, wzt = param(s), param(wz)
+    ts = [Tensor(a, requires_grad=name != const) for a, name in ((s, "s"), (wz, "wz"))]
     with T.tape():
-        grads = T.backward((T.tap_contract(st, wzt, k, gh, gw) * cot).sum())
+        grads = T.backward((T.tap_contract(*ts, k, gh, gw) * cot).sum())
+    assert set(grads) == {t for t in ts if t.requires_grad}
 
     def f(arrs):
         o = T.tap_contract(Tensor(arrs[0]), Tensor(arrs[1]), k, gh, gw)
         return float((o.data * cot).sum())
 
-    for i, p in enumerate([st, wzt]):
-        fd = central_diff_grad(f, [s.copy(), wz.copy()], i, step=1e-5)
-        assert rel_err(grads[p], fd) < 1e-8
+    for i, p in enumerate(ts):
+        if p.requires_grad:
+            fd = central_diff_grad(f, [s.copy(), wz.copy()], i, step=1e-5)
+            assert rel_err(grads[p], fd) < 1e-8
 
 
 def test_tap_contract_rejects_mismatched_grid():

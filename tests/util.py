@@ -52,3 +52,10 @@ def corrupt_decode_normalization(monkeypatch, offset=0.05):
     masked_fill = T.masked_fill
     monkeypatch.setattr(T, "masked_fill",
                         lambda *args: masked_fill(*args) + offset)
+
+
+def replace_config_line(raw, old, new):
+    """A POBW checkpoint's bytes with `old` replaced by `new` in its config text."""
+    (cfg_len,) = np.frombuffer(raw, dtype="<u4", count=1, offset=8)
+    text = raw[12:12 + cfg_len].replace(old, new)
+    return raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + cfg_len:]
