@@ -41,24 +41,24 @@ def _model_config(args, phys_channels: int) -> md.ModelConfig:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layers", type=int, default=8)
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--heads", type=int, default=8)
-    p.add_argument("--tokens", type=int, default=32)
-    p.add_argument("--temperature", type=float, default=0.5)
-    p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--history", type=int, default=10)
-    p.add_argument("--mlp-ratio", type=float, default=2.0, dest="mlp_ratio")
-    p.add_argument("--mixer", choices=["attention", "mlp", "none"],
-                   default="attention")
+    d = md.ModelConfig
+    p.add_argument("--layers", type=int, default=d.layers)
+    p.add_argument("--channels", type=int, default=d.channels)
+    p.add_argument("--heads", type=int, default=d.heads)
+    p.add_argument("--tokens", type=int, default=d.latent_tokens)
+    p.add_argument("--temperature", type=float, default=d.temperature)
+    p.add_argument("--kernel", type=int, default=d.pconv_kernel)
+    p.add_argument("--history", type=int, default=d.history)
+    p.add_argument("--mlp-ratio", type=float, default=d.mlp_ratio, dest="mlp_ratio")
+    p.add_argument("--mixer", choices=md.MIXERS, default=d.token_mixer)
     p.add_argument("--no-boundary-first", action="store_true",
                    dest="no_boundary_first")
 
 
-def _add_mask_flags(p: argparse.ArgumentParser, rate_default=0.25) -> None:
+def _add_mask_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pattern", choices=sorted(PATTERNS), default="patch")
-    p.add_argument("--rate", type=float, default=rate_default)
-    p.add_argument("--patch", type=int, default=4)
+    p.add_argument("--rate", type=float, default=tr.MaskSpec.missing_rate)
+    p.add_argument("--patch", type=int, default=tr.MaskSpec.patch_size)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -226,14 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     _add_mask_flags(p)
     _add_model_flags(p)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-4,
+    d = tr.TrainConfig
+    p.add_argument("--lr", type=float, default=d.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=d.weight_decay,
                    dest="weight_decay")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--batch", type=int, default=d.batch_size)
     p.add_argument("--mpt", choices=["on", "off"], default="on")
-    p.add_argument("--consistency", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--consistency", type=float, default=d.consistency_weight)
+    p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--rates", default="0.25,0.5")
     p.add_argument("--pattern", choices=sorted(PATTERNS), default="patch")
-    p.add_argument("--patch", type=int, default=4)
+    p.add_argument("--patch", type=int, default=tr.MaskSpec.patch_size)
     p.add_argument("--split", default="test")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train/evaluate along an ablation axis")
     p.add_argument("--data", required=True)
     p.add_argument("--axis", choices=tr.ABLATION_AXES, required=True)
-    _add_mask_flags(p, rate_default=0.25)
+    _add_mask_flags(p)
     _add_model_flags(p)
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch", type=int, default=32)
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full train/test missing-rate grid")
     p.add_argument("--data", required=True)
     _add_model_flags(p)
-    p.add_argument("--patch", type=int, default=4)
+    p.add_argument("--patch", type=int, default=tr.MaskSpec.patch_size)
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)

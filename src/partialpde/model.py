@@ -153,9 +153,8 @@ def _param_specs(cfg: ModelConfig):
 class ModelParams:
     """All learnable weights, keyed by name, in declaration order."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=None):
+    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
-        dtype = dtype or T.default_dtype()
         rng = np.random.default_rng(seed)
         self._params: dict[str, Tensor] = {}
         k = config.pconv_kernel
@@ -442,8 +441,13 @@ def lano_forward(coords: np.ndarray, frames: np.ndarray, mask: np.ndarray,
 # in declaration order: ndim u8, dims u32 each, float32 data.
 
 def config_to_text(cfg: ModelConfig) -> str:
-    return "\n".join(f"{f.name}={getattr(cfg, f.name)!r}"
+    # plain Python literals: a numpy scalar's repr is not one under NumPy 2
+    return "\n".join(f"{f.name}={_plain(getattr(cfg, f.name))!r}"
                      for f in fields(cfg))
+
+
+def _plain(v):
+    return v.item() if isinstance(v, np.generic) else v
 
 
 def config_from_text(text: str) -> ModelConfig:
@@ -490,9 +494,9 @@ class CheckpointError(IOError):
     pass
 
 
-def load_checkpoint(path, dtype=None) -> ModelParams:
-    """Read a POBW checkpoint; any malformed content raises CheckpointError."""
-    dtype = dtype or T.default_dtype()
+def load_checkpoint(path) -> ModelParams:
+    """Read a POBW checkpoint as float32, the precision it stores; any
+    malformed content raises CheckpointError."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -509,7 +513,7 @@ def load_checkpoint(path, dtype=None) -> ModelParams:
         cfg = config_from_text(raw[12:off].decode("utf-8"))
     except (ValueError, TypeError) as e:     # garbled value, unknown key
         raise CheckpointError(f"{path}: bad config: {e}") from None
-    params = ModelParams(cfg, seed=0, dtype=dtype)
+    params = ModelParams(cfg, seed=0)
     for name, _, _ in _param_specs(cfg):
         if off >= len(raw):
             raise CheckpointError(f"{path}: truncated before {name}")
@@ -527,7 +531,7 @@ def load_checkpoint(path, dtype=None) -> ModelParams:
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated tensor data for {name}")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-        params[name].data = arr.reshape(shape).astype(dtype)
+        params[name].data = arr.reshape(shape).astype(np.float32)
         off = end
     if off != len(raw):
         raise CheckpointError(

@@ -31,6 +31,11 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 DIVERGENCE_LIMIT = 1e3
 
+# FitzHugh-Nagumo diffusivities and offset
+DR_D_U = 1e-3
+DR_D_V = 5e-3
+DR_OFFSET_K = 5e-3
+
 
 class SolverDiverged(RuntimeError):
     def __init__(self, kind: str, step: int):
@@ -104,25 +109,23 @@ def _laplacian_periodic(u: np.ndarray, h_sq: float) -> np.ndarray:
 
 
 def solve_diffusion_reaction(grid: GridGeometry, seed: int, t_steps: int,
-                             dt: float, d_u: float = 1e-3, d_v: float = 5e-3,
-                             offset_k: float = 5e-3, reaction: bool = True,
+                             dt: float, reaction: bool = True,
                              initial: np.ndarray | None = None,
                              dtype=np.float32) -> Trajectory:
     """FitzHugh-Nagumo dynamics on a periodic grid.
 
-        du/dt = d_u lap(u) + u - u^3 - offset_k - v
-        dv/dt = d_v lap(v) + u - v
+        du/dt = DR_D_U lap(u) + u - u^3 - DR_OFFSET_K - v
+        dv/dt = DR_D_V lap(v) + u - v
 
     Explicit Euler with internal substepping to satisfy the diffusion
-    stability bound dt <= h^2 / (4 max(d_u, d_v)).
+    stability bound dt <= h^2 / (4 max(DR_D_U, DR_D_V)).
     """
     if t_steps < 2:
         raise ValueError("t_steps must be >= 2")
     _check_dt(dt)
     hx = 1.0 / grid.w
     h_sq = hx * hx
-    dmax = max(d_u, d_v)
-    dt_stable = h_sq / (4.0 * dmax) if dmax > 0 else dt
+    dt_stable = h_sq / (4.0 * max(DR_D_U, DR_D_V))
     substeps = max(1, int(np.ceil(dt / dt_stable)))
     sub_dt = dt / substeps
 
@@ -141,11 +144,11 @@ def solve_diffusion_reaction(grid: GridGeometry, seed: int, t_steps: int,
             lap_u = _laplacian_periodic(u, h_sq)
             lap_v = _laplacian_periodic(v, h_sq)
             if reaction:
-                du = d_u * lap_u + u - u ** 3 - offset_k - v
-                dv = d_v * lap_v + u - v
+                du = DR_D_U * lap_u + u - u ** 3 - DR_OFFSET_K - v
+                dv = DR_D_V * lap_v + u - v
             else:
-                du = d_u * lap_u
-                dv = d_v * lap_v
+                du = DR_D_U * lap_u
+                dv = DR_D_V * lap_v
             u = u + sub_dt * du
             v = v + sub_dt * dv
         _check_finite(u, DIFFUSION_REACTION, t)

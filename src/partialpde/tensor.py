@@ -15,8 +15,7 @@ that fails before its backward leaves no nodes behind.  Blocks do not nest.
 A tensor keeps the dtype of its data, and every primitive returns the
 dtype its inputs give, so a model's parameters fix the precision of each
 forward, tape node and gradient it takes part in.  The optimizer writes
-each update back in the parameter's dtype.  `default_dtype` (switched by
-`precision`) only sets the dtype of newly created model parameters.
+each update back in the parameter's dtype.
 """
 
 from __future__ import annotations
@@ -26,28 +25,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float32
-
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 @contextlib.contextmanager
 def precision(dtype):
-    """Temporarily switch the default parameter dtype (float32 or float64)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype).type
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported default dtype {dtype!r}")
-    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE = prev
+    """Changes nothing; perfbench/workloads.py:250 still opens it."""
+    yield
 
 
 class ShapeMismatch(ValueError):
@@ -365,48 +350,9 @@ def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, pad)
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
-    """Per-channel 2D convolution, stride 1, zero padding.
-
-    x: (B, C, H, W); w: (C, kh, kw) -> (B, C, H', W').
-    Implemented as k*k shifted multiply-adds (fast for small kernels).
-    """
-    if x.ndim != 4 or w.ndim != 3 or x.shape[1] != w.shape[0]:
-        raise ShapeMismatch("depthwise_conv2d", x.shape, w.shape)
-    kh, kw = w.shape[1], w.shape[2]
-    xp = _pad2d(x.data, padding)
-    oh = xp.shape[-2] - kh + 1
-    ow = xp.shape[-1] - kw + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeMismatch("depthwise_conv2d", x.shape, w.shape)
-    data = np.zeros(x.shape[:2] + (oh, ow), dtype=x.data.dtype)
-    tmp = np.empty_like(data)
-    for i in range(kh):
-        for j in range(kw):
-            np.multiply(xp[..., i:i + oh, j:j + ow],
-                        w.data[:, i, j][:, None, None], out=tmp)
-            data += tmp
-
-    def vjp_x(g):
-        gxp = np.zeros_like(xp)
-        tmp = np.empty_like(g)
-        for i in range(kh):
-            for j in range(kw):
-                np.multiply(g, w.data[:, i, j][:, None, None], out=tmp)
-                gxp[..., i:i + oh, j:j + ow] += tmp
-        if padding:
-            gxp = gxp[..., padding:-padding, padding:-padding]
-        return gxp
-
-    def vjp_w(g):
-        gw = np.empty_like(w.data)
-        for i in range(kh):
-            for j in range(kw):
-                gw[:, i, j] = np.einsum("bchw,bchw->c", g, xp[..., i:i + oh, j:j + ow],
-                                        optimize=True)
-        return gw
-
-    return _make(data, (x, vjp_x), (w, vjp_w))
+def depthwise_conv2d(*args, **kwargs):
+    """Removed; perfbench/tracing.py wraps the name but never calls it."""
+    raise NotImplementedError("depthwise_conv2d was removed; see tap_contract")
 
 
 def _shift_slices(d: int, m: int):

@@ -140,13 +140,14 @@ def check_dr_scalar_ode():
     traj = pg.solve_diffusion_reaction(grid, seed=0, t_steps=steps, dt=dt,
                                        initial=init, dtype=np.float64)
     h_sq = (1.0 / 16) ** 2
-    substeps = max(1, int(np.ceil(dt / (h_sq / (4 * 5e-3)))))
+    dt_stable = h_sq / (4 * max(pg.DR_D_U, pg.DR_D_V))
+    substeps = max(1, int(np.ceil(dt / dt_stable)))
     sub = dt / substeps
     u, v = 0.4, -0.2
     worst = 0.0
     for t in range(1, steps):
         for _ in range(substeps):
-            u, v = (u + sub * (u - u ** 3 - 5e-3 - v), v + sub * (u - v))
+            u, v = (u + sub * (u - u ** 3 - pg.DR_OFFSET_K - v), v + sub * (u - v))
         worst = max(worst, np.abs(traj.frames[t, ..., 0] - u).max())
     return worst < 1e-6, f"max dev from 0-D integrator {worst:.2e}"
 
@@ -506,10 +507,10 @@ def check_round_trips(tmp_dir):
 
         cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
                              history=2, phys_channels=1)
-        params = md.ModelParams(cfg, seed=3, dtype=np.float32)
+        params = md.ModelParams(cfg, seed=3)
         cp = f"{td}/c.pobw"
         md.save_checkpoint(params, cp)
-        loaded = md.load_checkpoint(cp, dtype=np.float32)
+        loaded = md.load_checkpoint(cp)
         ok &= all(np.array_equal(a.data, b.data)
                   for (_, a), (_, b) in zip(params.items(), loaded.items()))
     return bool(ok), "dataset/mask/checkpoint round-trips bit-exact"

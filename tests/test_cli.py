@@ -85,6 +85,21 @@ def record_training(monkeypatch):
     return calls
 
 
+def test_cli_train_defaults_are_the_config_defaults(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def recording(splits, grid_hw, mask_spec, model_cfg, train_cfg, out_dir):
+        calls.append((mask_spec, model_cfg, train_cfg))
+        return tr.TrainResult(Path(out_dir) / "model.pobw",
+                              Path(out_dir) / "metrics.csv", 0.0, 0.0)
+
+    monkeypatch.setattr(tr, "train_on_splits", recording)
+    code, err = run(capsys, "train", "--data", small_dataset(tmp_path),
+                    "--out", tmp_path / "run")
+    assert code == 0 and err == []
+    assert calls == [(tr.MaskSpec(), md.ModelConfig(phys_channels=2), tr.TrainConfig())]
+
+
 def test_cli_ablate_components_turns_off_mpt_only_for_wo_mpt(tmp_path, capsys,
                                                              monkeypatch):
     calls = record_training(monkeypatch)

@@ -14,12 +14,6 @@ from partialpde.tensor import Tensor
 from util import corrupt_decode_normalization, replace_config_line
 
 
-@pytest.fixture(autouse=True)
-def float64_mode():
-    with T.precision(np.float64):
-        yield
-
-
 def small_config(**kw):
     base = dict(layers=2, channels=16, heads=2, latent_tokens=4,
                 history=3, phys_channels=1, pconv_kernel=3, mlp_ratio=1.0)
@@ -90,8 +84,8 @@ def test_config_accepts_smallest_sizes():
 
 def test_parameter_count_is_pure_function_of_config():
     cfg = small_config()
-    p1 = md.ModelParams(cfg, seed=0)
-    p2 = md.ModelParams(cfg, seed=99)
+    p1 = md.ModelParams(cfg, seed=0, dtype=np.float64)
+    p2 = md.ModelParams(cfg, seed=99, dtype=np.float64)
     assert p1.count() == p2.count() == md.count_parameters(cfg)
     assert p1.names() == p2.names()
 
@@ -101,7 +95,7 @@ def test_temporal_aggregate_shape_and_identity():
     # embed width 2 + 1*1 = 3 < channels; use channels == width for identity
     cfg = md.ModelConfig(layers=1, channels=3, heads=1, latent_tokens=2,
                          history=1, phys_channels=1)
-    params = md.ModelParams(cfg, seed=0)
+    params = md.ModelParams(cfg, seed=0, dtype=np.float64)
     params["embed.w"].data = np.eye(3)
     params["embed.b"].data = np.zeros(3)
     coords = np.array([[0.25, 0.75]])
@@ -113,7 +107,7 @@ def test_temporal_aggregate_shape_and_identity():
 
 def test_temporal_aggregate_rejects_history_mismatch():
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=0)
+    params = md.ModelParams(cfg, seed=0, dtype=np.float64)
     coords, frames, mask = random_inputs(cfg, 4, 4)
     with pytest.raises(ValueError, match="history"):
         md.temporal_aggregate(coords, frames[:, :2], params)
@@ -121,7 +115,7 @@ def test_temporal_aggregate_rejects_history_mismatch():
 
 def test_encode_rows_are_probabilities_then_masked_zero():
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=1)
+    params = md.ModelParams(cfg, seed=1, dtype=np.float64)
     rng = np.random.default_rng(0)
     gh = gw = 4
     n = gh * gw
@@ -146,7 +140,7 @@ def test_encode_rows_are_probabilities_then_masked_zero():
 
 def test_encode_single_token_is_masked_mean():
     cfg = small_config(latent_tokens=1)
-    params = md.ModelParams(cfg, seed=2)
+    params = md.ModelParams(cfg, seed=2, dtype=np.float64)
     rng = np.random.default_rng(3)
     n = 16
     yh_arr = rng.normal(size=(1, cfg.heads, n, cfg.head_dim))
@@ -159,7 +153,7 @@ def test_encode_single_token_is_masked_mean():
 
 def test_encode_constant_features_give_constant_tokens():
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=2)
+    params = md.ModelParams(cfg, seed=2, dtype=np.float64)
     n = 16
     const = 1.7
     yh = Tensor(np.full((1, cfg.heads, n, cfg.head_dim), const))
@@ -170,7 +164,7 @@ def test_encode_constant_features_give_constant_tokens():
 
 def test_encode_ignores_unobserved_values_bitwise():
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=2)
+    params = md.ModelParams(cfg, seed=2, dtype=np.float64)
     rng = np.random.default_rng(4)
     n = 16
     yh_a = rng.normal(size=(1, cfg.heads, n, cfg.head_dim))
@@ -185,7 +179,7 @@ def test_encode_ignores_unobserved_values_bitwise():
 
 def test_encode_all_unobserved_rejected():
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=2)
+    params = md.ModelParams(cfg, seed=2, dtype=np.float64)
     yh = Tensor(np.zeros((1, cfg.heads, 16, cfg.head_dim)))
     with pytest.raises(md.DegenerateMaskError):
         md.phca_encode(yh, np.zeros((1, 16)), params, 0)
@@ -198,7 +192,7 @@ def test_encode_all_unobserved_rejected():
 # and contracts them with Z.  Maps are token-major, (B, H, L, N).
 
 def pconv_setup(cfg, gh, gw, seed=0):
-    params = md.ModelParams(cfg, seed=seed)
+    params = md.ModelParams(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
     params["L0.merge_w"].data = rng.normal(size=(cfg.channels, cfg.channels))
     params["L0.merge_b"].data = rng.normal(size=cfg.channels)
@@ -235,8 +229,8 @@ def test_pconv_full_mask_equals_standard_convolution():
     # oracle: plain depthwise convolution + bias (renormalization factor 1)
     hl = cfg.heads * cfg.latent_tokens
     grid = s_arr.reshape(1, hl, gh, gw)
-    conv = T.depthwise_conv2d(Tensor(grid), params["L0.pconv_w"], padding=1)
-    s_next = (conv.data + params["L0.pconv_b"].data[None, :, None, None]) \
+    conv = vf._np_depthwise_conv(grid, params["L0.pconv_w"].data)
+    s_next = (conv + params["L0.pconv_b"].data[None, :, None, None]) \
         .reshape(s_arr.shape)
     assert np.abs(got - decode_from_maps(s_next, z, params)).max() < 1e-12
 
@@ -336,14 +330,14 @@ def test_pconv_all_zero_mask_stays_zero():
 
 def test_mixer_none_is_identity():
     cfg = small_config(token_mixer="none")
-    params = md.ModelParams(cfg, seed=0)
+    params = md.ModelParams(cfg, seed=0, dtype=np.float64)
     z = Tensor(np.random.default_rng(0).normal(size=(1, 2, 4, 8)))
     assert md.token_mix(z, params, 0) is z
 
 
 def test_mixer_attention_single_token_is_value_projection():
     cfg = small_config(latent_tokens=1, token_mixer="attention")
-    params = md.ModelParams(cfg, seed=3)
+    params = md.ModelParams(cfg, seed=3, dtype=np.float64)
     z_arr = np.random.default_rng(1).normal(size=(1, cfg.heads, 1, cfg.head_dim))
     out = md.token_mix(Tensor(z_arr), params, 0)
     want = z_arr @ params["L0.mix_wv"].data
@@ -352,7 +346,7 @@ def test_mixer_attention_single_token_is_value_projection():
 
 def test_mixer_attention_permutation_equivariant():
     cfg = small_config(token_mixer="attention")
-    params = md.ModelParams(cfg, seed=4)
+    params = md.ModelParams(cfg, seed=4, dtype=np.float64)
     rng = np.random.default_rng(2)
     z_arr = rng.normal(size=(1, cfg.heads, cfg.latent_tokens, cfg.head_dim))
     perm = rng.permutation(cfg.latent_tokens)
@@ -363,7 +357,7 @@ def test_mixer_attention_permutation_equivariant():
 
 def test_mixer_mlp_preserves_shape():
     cfg = small_config(token_mixer="mlp")
-    params = md.ModelParams(cfg, seed=5)
+    params = md.ModelParams(cfg, seed=5, dtype=np.float64)
     z = Tensor(np.random.default_rng(3).normal(
         size=(2, cfg.heads, cfg.latent_tokens, cfg.head_dim)))
     out = md.token_mix(z, params, 0)
@@ -380,7 +374,7 @@ def test_decode_single_token_reuse_gives_token_everywhere_observed():
 def check_single_token_reuse_decode(boundary_first):
     cfg = small_config(latent_tokens=1, token_mixer="none",
                        boundary_first=boundary_first)
-    params = md.ModelParams(cfg, seed=6)
+    params = md.ModelParams(cfg, seed=6, dtype=np.float64)
     params["L0.merge_w"].data = np.eye(cfg.channels)  # expose head outputs
     gh = gw = 4
     n = gh * gw
@@ -434,7 +428,7 @@ def test_decode_rows_beyond_dilation_decode_to_merge_b():
 def test_layer_residual_identity_at_init():
     # merge projection is zero-initialized, so the propagator branch vanishes
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=9)
+    params = md.ModelParams(cfg, seed=9, dtype=np.float64)
     coords, frames, mask = random_inputs(cfg, 4, 4, seed=1)
     y0 = md.temporal_aggregate(coords, frames, params)
     y1, _ = md.latent_operator_layer(y0, mask.reshape(1, -1), params, 0, 4, 4)
@@ -459,7 +453,7 @@ def layer_masks(coords, frames, mask, params):
 
 def test_layer_mask_monotone_nondecreasing():
     cfg = small_config(layers=4)
-    params = md.ModelParams(cfg, seed=10)
+    params = md.ModelParams(cfg, seed=10, dtype=np.float64)
     coords, frames, mask = random_inputs(cfg, 8, 8, seed=2, missing=0.6)
     prev = mask.reshape(1, -1)
     for m_next in layer_masks(coords, frames, mask, params):
@@ -469,7 +463,7 @@ def test_layer_mask_monotone_nondecreasing():
 
 def test_forward_shape_any_missing_rate():
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=11)
+    params = md.ModelParams(cfg, seed=11, dtype=np.float64)
     for missing in (0.0, 0.3, 0.7):
         coords, frames, mask = random_inputs(cfg, 4, 6, b=2, seed=3,
                                              missing=missing)
@@ -479,7 +473,7 @@ def test_forward_shape_any_missing_rate():
 
 def test_forward_masked_input_invariance_bitwise():
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=12)
+    params = md.ModelParams(cfg, seed=12, dtype=np.float64)
     coords, frames, mask = random_inputs(cfg, 6, 6, seed=4, missing=0.4)
     garbage = frames.copy()
     unobs = mask[0] == 0.0
@@ -491,7 +485,7 @@ def test_forward_masked_input_invariance_bitwise():
 
 def test_forward_rejects_empty_mask():
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=13)
+    params = md.ModelParams(cfg, seed=13, dtype=np.float64)
     coords, frames, mask = random_inputs(cfg, 4, 4)
     with pytest.raises(md.DegenerateMaskError):
         md.lano_forward(coords, frames, np.zeros_like(mask), params)
@@ -500,7 +494,7 @@ def test_forward_rejects_empty_mask():
 def test_forward_coverage_32x32_patch4_quarter_missing():
     # D=8, k=3: 8 radius-1 dilations close every hole in a 25% patch-4 mask
     cfg = small_config(layers=8)
-    params = md.ModelParams(cfg, seed=14)
+    params = md.ModelParams(cfg, seed=14, dtype=np.float64)
     m = mk.gen_patchwise_mask(32, 32, 0.25, 4, seed=0)
     rng = np.random.default_rng(7)
     frames = rng.normal(size=(1, cfg.history, 32, 32, 1))
@@ -514,7 +508,7 @@ def test_forward_coverage_32x32_patch4_quarter_missing():
 
 def test_without_boundary_first_mask_frozen():
     cfg = small_config(boundary_first=False)
-    params = md.ModelParams(cfg, seed=15)
+    params = md.ModelParams(cfg, seed=15, dtype=np.float64)
     coords, frames, mask = random_inputs(cfg, 6, 6, seed=5, missing=0.5)
     for m_next in layer_masks(coords, frames, mask, params):
         assert np.array_equal(m_next, mask.reshape(1, -1))
@@ -528,7 +522,7 @@ def test_forward_makes_no_depthwise_conv_call(monkeypatch):
 
     monkeypatch.setattr(T, "depthwise_conv2d", forbidden)
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=16)
+    params = md.ModelParams(cfg, seed=16, dtype=np.float64)
     coords, frames, mask = random_inputs(cfg, 6, 5, seed=6)
     with T.tape():
         md.lano_forward(coords, frames, mask, params)
@@ -537,7 +531,7 @@ def test_forward_makes_no_depthwise_conv_call(monkeypatch):
 
 def test_grad_forward_keeps_no_conv_grid_on_tape():
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=17)
+    params = md.ModelParams(cfg, seed=17, dtype=np.float64)
     gh, gw, b = 6, 5, 2
     coords, frames, mask = random_inputs(cfg, gh, gw, b=b, seed=7)
     grid = (b, cfg.heads * cfg.latent_tokens, gh, gw)
@@ -564,7 +558,7 @@ def test_forward_softmaxes_token_major_maps_and_contracts_once_per_layer(monkeyp
     monkeypatch.setattr(T, "softmax", counting_softmax)
     monkeypatch.setattr(T, "tap_contract", counting_tap_contract)
     cfg = small_config(layers=3)                  # the attention mixer softmaxes too
-    params = md.ModelParams(cfg, seed=18)
+    params = md.ModelParams(cfg, seed=18, dtype=np.float64)
     b, gh, gw = 2, 6, 5
     coords, frames, mask = random_inputs(cfg, gh, gw, b=b, seed=8)
     maps = (b, cfg.heads, cfg.latent_tokens, gh * gw)
@@ -580,7 +574,7 @@ def test_forward_softmaxes_token_major_maps_and_contracts_once_per_layer(monkeyp
 # -- kernel oracle -------------------------------------------------------------------
 
 def oracle_instance(cfg, gh, gw, seed, missing=0.4, pattern="point"):
-    params = md.ModelParams(cfg, seed=seed)
+    params = md.ModelParams(cfg, seed=seed, dtype=np.float64)
     # make the branch non-trivial: the merge projection is zero at init
     rng = np.random.default_rng(seed + 1)
     for i in range(cfg.layers):
@@ -686,7 +680,7 @@ def test_kernel_identity_contribution_at_observed_points():
 
 def test_kernel_oracle_rejects_large_instances():
     cfg = small_config(token_mixer="none")
-    params = md.ModelParams(cfg, seed=0)
+    params = md.ModelParams(cfg, seed=0, dtype=np.float64)
     with pytest.raises(vf.OracleSizeError):
         vf.kernel_oracle(params, 0, np.ones(17 * 17), np.zeros((17 * 17, 16)),
                          17, 17)
@@ -712,20 +706,19 @@ def test_full_mask_single_layer_matches_oracle_through_layer_api():
 # -- checkpoints ------------------------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    with T.precision(np.float32):
-        cfg = small_config(token_mixer="mlp", boundary_first=False)
-        params = md.ModelParams(cfg, seed=21)
-        p = tmp_path / "m.pobw"
-        md.save_checkpoint(params, p)
-        loaded = md.load_checkpoint(p)
-        assert loaded.config == cfg
-        for (na, ta), (nb, tb) in zip(params.items(), loaded.items()):
-            assert na == nb
-            assert np.array_equal(ta.data, tb.data)
-        # byte-identical on rewrite
-        p2 = tmp_path / "m2.pobw"
-        md.save_checkpoint(loaded, p2)
-        assert p.read_bytes() == p2.read_bytes()
+    cfg = small_config(token_mixer="mlp", boundary_first=False)
+    params = md.ModelParams(cfg, seed=21)
+    p = tmp_path / "m.pobw"
+    md.save_checkpoint(params, p)
+    loaded = md.load_checkpoint(p)
+    assert loaded.config == cfg
+    for (na, ta), (nb, tb) in zip(params.items(), loaded.items()):
+        assert na == nb
+        assert np.array_equal(ta.data, tb.data)
+    # byte-identical on rewrite
+    p2 = tmp_path / "m2.pobw"
+    md.save_checkpoint(loaded, p2)
+    assert p.read_bytes() == p2.read_bytes()
 
 
 def test_checkpoint_round_trips_every_config_field(tmp_path):
@@ -738,13 +731,27 @@ def test_checkpoint_round_trips_every_config_field(tmp_path):
     default = md.ModelConfig()
     for f in dataclasses.fields(md.ModelConfig):
         assert getattr(cfg, f.name) != getattr(default, f.name), f.name
-    with T.precision(np.float32):
-        params = md.ModelParams(cfg, seed=3)
-        p = tmp_path / "m.pobw"
-        md.save_checkpoint(params, p)
-        loaded = md.load_checkpoint(p)
+    params = md.ModelParams(cfg, seed=3)
+    p = tmp_path / "m.pobw"
+    md.save_checkpoint(params, p)
+    loaded = md.load_checkpoint(p)
     assert loaded.config == cfg
     assert loaded.names() == params.names()
+
+
+def test_checkpoint_config_holding_numpy_scalars_round_trips(tmp_path):
+    # np.float64 and np.str_ pass the type check; the text holds plain
+    # literals, the same text as for the equal Python values
+    cfg = small_config(temperature=np.float64(0.75), token_mixer=np.str_("mlp"))
+    p = tmp_path / "m.pobw"
+    md.save_checkpoint(md.ModelParams(cfg, seed=3), p)
+    assert md.load_checkpoint(p).config == cfg
+    assert md.config_to_text(cfg) == md.config_to_text(
+        small_config(temperature=0.75, token_mixer="mlp"))
+    assert md.config_to_text(md.ModelConfig()) == (
+        "layers=8\nchannels=64\nheads=8\nlatent_tokens=32\ntemperature=0.5\n"
+        "pconv_kernel=3\nhistory=10\nphys_channels=1\nmlp_ratio=2.0\n"
+        "token_mixer='attention'\nboundary_first=True")
 
 
 def test_checkpoint_version_1_is_rejected(tmp_path):
@@ -756,25 +763,23 @@ def test_checkpoint_version_1_is_rejected(tmp_path):
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
-    with T.precision(np.float32):
-        cfg = small_config()
-        params = md.ModelParams(cfg, seed=22)
-        p = tmp_path / "m.pobw"
-        md.save_checkpoint(params, p)
-        raw = p.read_bytes()
-        (tmp_path / "bad.pobw").write_bytes(b"XXXX" + raw[4:])
-        with pytest.raises(md.CheckpointError, match="magic"):
-            md.load_checkpoint(tmp_path / "bad.pobw")
-        (tmp_path / "tr.pobw").write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(md.CheckpointError, match="truncated"):
-            md.load_checkpoint(tmp_path / "tr.pobw")
+    cfg = small_config()
+    params = md.ModelParams(cfg, seed=22)
+    p = tmp_path / "m.pobw"
+    md.save_checkpoint(params, p)
+    raw = p.read_bytes()
+    (tmp_path / "bad.pobw").write_bytes(b"XXXX" + raw[4:])
+    with pytest.raises(md.CheckpointError, match="magic"):
+        md.load_checkpoint(tmp_path / "bad.pobw")
+    (tmp_path / "tr.pobw").write_bytes(raw[: len(raw) // 2])
+    with pytest.raises(md.CheckpointError, match="truncated"):
+        md.load_checkpoint(tmp_path / "tr.pobw")
 
 
 def saved_checkpoint(tmp_path):
-    with T.precision(np.float32):
-        params = md.ModelParams(small_config(), seed=22)
-        p = tmp_path / "m.pobw"
-        md.save_checkpoint(params, p)
+    params = md.ModelParams(small_config(), seed=22)
+    p = tmp_path / "m.pobw"
+    md.save_checkpoint(params, p)
     return p.read_bytes()
 
 
@@ -844,7 +849,7 @@ def test_checkpoint_truncated_anywhere_is_checkpoint_error(tmp_path, keep):
 
 def test_forward_deterministic():
     cfg = small_config()
-    params = md.ModelParams(cfg, seed=23)
+    params = md.ModelParams(cfg, seed=23, dtype=np.float64)
     coords, frames, mask = random_inputs(cfg, 6, 6, seed=8)
     a = md.lano_forward(coords, frames, mask, params).data.copy()
     b = md.lano_forward(coords, frames, mask, params).data.copy()

@@ -18,10 +18,11 @@ def test_grid_coords_uniform_increasing():
 
 # -- diffusion-reaction ---------------------------------------------------------
 
-def test_dr_zero_initial_zero_offset_stays_zero():
+def test_dr_zero_initial_zero_offset_stays_zero(monkeypatch):
+    monkeypatch.setattr(pg, "DR_OFFSET_K", 0.0)
     init = np.zeros((32, 32, 2))
     traj = pg.solve_diffusion_reaction(GRID, seed=0, t_steps=5, dt=0.01,
-                                       offset_k=0.0, initial=init)
+                                       initial=init)
     assert np.all(traj.frames == 0.0)
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -99,10 +101,10 @@ def test_consistency_gradient_only_through_masked_branch():
 
 # -- optimizer ----------------------------------------------------------------------
 
-def tiny_state(value=0.0):
+def tiny_state(value=0.0, dtype=np.float32):
     cfg = md.ModelConfig(layers=1, channels=2, heads=1, latent_tokens=1,
                          history=1)
-    params = md.ModelParams(cfg, seed=0)
+    params = md.ModelParams(cfg, seed=0, dtype=dtype)
     name = "out.b"
     params[name].data = np.full(params[name].shape, value, dtype=params[name].dtype)
     return tr.TrainState(params), name
@@ -160,19 +162,18 @@ def test_one_cycle_lr_is_a_python_float():
         assert type(tr.one_cycle_lr(step, 1000, cfg)) is float
 
 
-@pytest.mark.parametrize("precision, grad_dtype", [
+@pytest.mark.parametrize("dtype, grad_dtype", [
     (np.float32, np.float64), (np.float32, np.float32),
     (np.float64, np.float64), (np.float64, np.float32)])
-def test_adamw_keeps_each_parameter_dtype(precision, grad_dtype):
-    with T.precision(precision):
-        state, _ = tiny_state(0.5)
+def test_adamw_keeps_each_parameter_dtype(dtype, grad_dtype):
+    state, _ = tiny_state(0.5, dtype)
     rng = np.random.default_rng(4)
     cfg = tr.TrainConfig()
     for _ in range(3):
         grads = {name: rng.normal(size=p.shape).astype(grad_dtype)
                  for name, p in state.params.items()}
         tr.adamw_step(state, grads, lr=np.float64(1e-3), cfg=cfg)
-    want = {np.dtype(precision)}
+    want = {np.dtype(dtype)}
     assert {t.data.dtype for t in state.params.tensors()} == want
     assert {a.dtype for a in state.m.values()} == want
     assert {a.dtype for a in state.v.values()} == want
@@ -189,62 +190,59 @@ def mpt_loss_for_grad(params, coords, frames, targets, masks, aug, clean, lam):
 
 
 def test_full_mpt_loss_gradient_matches_finite_differences():
-    from util import rel_err
+    cfg = md.ModelConfig(layers=2, channels=8, heads=2, latent_tokens=2,
+                         history=2, phys_channels=1, mlp_ratio=1.0)
+    params = md.ModelParams(cfg, seed=0, dtype=np.float64)
+    # break the zero-init so every branch carries gradient
+    rng = np.random.default_rng(1)
+    for i in range(cfg.layers):
+        params[f"L{i}.merge_w"].data = rng.normal(size=(8, 8)) * 0.2
+    gh = gw = 5
+    coords = pg.GridGeometry(gh, gw).coords()
+    frames = rng.normal(size=(1, 2, gh, gw, 1))
+    targets = rng.normal(size=(1, gh, gw, 1))
+    m = mk.gen_pointwise_mask(gh, gw, 0.3, seed=3).grid[None].astype(float)
+    m_aug, _ = mk.mpt_augment(
+        mk.ObservationMask(m[0].astype(np.uint8), mk.POINTWISE, 0.3, 0, 3),
+        0.2, seed=4)
+    aug = m_aug.grid[None].astype(float)
 
-    with T.precision(np.float64):
-        cfg = md.ModelConfig(layers=2, channels=8, heads=2, latent_tokens=2,
-                             history=2, phys_channels=1, mlp_ratio=1.0)
-        params = md.ModelParams(cfg, seed=0)
-        # break the zero-init so every branch carries gradient
-        rng = np.random.default_rng(1)
-        for i in range(cfg.layers):
-            params[f"L{i}.merge_w"].data = rng.normal(size=(8, 8)) * 0.2
-        gh = gw = 5
-        coords = pg.GridGeometry(gh, gw).coords()
-        frames = rng.normal(size=(1, 2, gh, gw, 1))
-        targets = rng.normal(size=(1, gh, gw, 1))
-        m = mk.gen_pointwise_mask(gh, gw, 0.3, seed=3).grid[None].astype(float)
-        m_aug, _ = mk.mpt_augment(
-            mk.ObservationMask(m[0].astype(np.uint8), mk.POINTWISE, 0.3, 0, 3),
-            0.2, seed=4)
-        aug = m_aug.grid[None].astype(float)
+    clean = md.lano_forward(coords, frames, m, params)
 
-        clean = md.lano_forward(coords, frames, m, params)
+    with T.tape():
+        grads = T.backward(mpt_loss_for_grad(params, coords, frames, targets,
+                                             m, aug, clean, 0.1))
 
-        with T.tape():
-            grads = T.backward(mpt_loss_for_grad(params, coords, frames, targets,
-                                                 m, aug, clean, 0.1))
+    def f(_):
+        return float(mpt_loss_for_grad(params, coords, frames, targets, m,
+                                       aug, clean, 0.1).data)
 
-        def f(_):
-            return float(mpt_loss_for_grad(params, coords, frames, targets, m,
-                                           aug, clean, 0.1).data)
-
-        step = 1e-5
-        checked = 0
-        rng2 = np.random.default_rng(7)
-        for name, p in params.items():
-            g = grads[p]
-            flat = p.data.reshape(-1)
-            gflat = g.reshape(-1)
-            idxs = rng2.choice(flat.size, size=min(4, flat.size), replace=False)
-            fd_vec, an_vec = [], []
-            for i in idxs:
-                orig = flat[i]
-                flat[i] = orig + step
-                fp = f(None)
-                flat[i] = orig - step
-                fm = f(None)
-                flat[i] = orig
-                fd_vec.append((fp - fm) / (2 * step))
-                an_vec.append(gflat[i])
-                checked += 1
-            fd_vec, an_vec = np.array(fd_vec), np.array(an_vec)
-            # group-wise relative error; the floor is the FD resolution at
-            # this step size, tiny gradients below it cannot be resolved
-            scale = max(np.abs(fd_vec).max(), np.abs(an_vec).max(), 1e-6)
-            err = np.abs(fd_vec - an_vec).max() / scale
-            assert err < 1e-4, (name, err)
-        assert checked > 50
+    step = 1e-5
+    checked = 0
+    rng2 = np.random.default_rng(7)
+    for name, p in params.items():
+        g = grads[p]
+        flat = p.data.reshape(-1)
+        gflat = g.reshape(-1)
+        idxs = rng2.choice(flat.size, size=min(4, flat.size), replace=False)
+        fd_vec, an_vec = [], []
+        for i in idxs:
+            orig = flat[i]
+            flat[i] = orig + step
+            fp = f(None)
+            flat[i] = orig - step
+            fm = f(None)
+            flat[i] = orig
+            fd_vec.append((fp - fm) / (2 * step))
+            an_vec.append(gflat[i])
+            checked += 1
+        fd_vec, an_vec = np.array(fd_vec), np.array(an_vec)
+        # group-wise relative error; the floor is the FD resolution at
+        # this step size, tiny gradients below it cannot be resolved
+        scale = max(np.abs(fd_vec).max(), np.abs(an_vec).max(), 1e-6)
+        err = np.abs(fd_vec - an_vec).max() / scale
+        assert err < 1e-4, (name, err)
+    assert checked > 50
 
 
 # -- training loop ---------------------------------------------------------------------
@@ -307,9 +305,7 @@ def test_float32_training_records_and_returns_only_float32(tmp_path,
 
 
 def test_best_val_is_the_saved_checkpoints_validation_error(tmp_path):
-    dtype = T.default_dtype()
     res = tiny_run(tmp_path / "run", epochs=2, seed=1)
-    assert T.default_dtype() is dtype
     val = tiny_dataset()["val"]
     spec = tr.MaskSpec(mk.PATCHWISE, 0.25, 4)
     val_masks = np.stack([spec.generate(8, 8, mk.derived_seed(1, 2, j)).grid
@@ -319,11 +315,11 @@ def test_best_val_is_the_saved_checkpoints_validation_error(tmp_path):
                                                                val_masks)))
 
 
-def test_float32_training_agrees_with_a_float64_run(tmp_path):
+def test_float32_training_agrees_with_a_float64_run(tmp_path, monkeypatch):
     r32 = tiny_run(tmp_path / "f32", epochs=3)
-    with T.precision(np.float64):
-        r64 = tiny_run(tmp_path / "f64", epochs=3)
-    assert T.default_dtype() is np.float32
+    monkeypatch.setattr(md, "ModelParams",
+                        functools.partial(md.ModelParams, dtype=np.float64))
+    r64 = tiny_run(tmp_path / "f64", epochs=3)
 
     def train_losses(res):
         rows = res.metrics_path.read_text().splitlines()[1:]

@@ -1,5 +1,3 @@
-import numpy as np
-
 from partialpde import model as md
 from partialpde import tensor as T
 from partialpde import verify as vf
@@ -12,7 +10,6 @@ def test_run_suite_passes_and_leaves_no_tape_nodes(tmp_path):
     assert len(T.active_tape()) == 0 and not T.active_tape().recording
     assert ok, [r for r in results if not r.ok]
     assert len(results) == 23
-    assert T.default_dtype() is np.float32
 
 
 def test_each_check_leaves_the_tape_as_it_found_it(tmp_path):
