@@ -5,7 +5,8 @@ Two desk-scale solvers stand in for the usual benchmark data:
 * a FitzHugh-Nagumo diffusion-reaction system (2 channels, explicit Euler,
   periodic boundaries), and
 * 2D incompressible Navier-Stokes in vorticity form (1 channel,
-  pseudo-spectral with 2/3 dealiasing, Crank-Nicolson viscosity, explicit
+  pseudo-spectral on the real FFT with 2/3 dealiasing and one batched
+  inverse transform per substep, Crank-Nicolson viscosity, explicit
   advection, fixed sinusoidal forcing).
 
 Both integrate in float64 and store frames as float32, which is also the
@@ -134,6 +135,9 @@ def solve_diffusion_reaction(grid: GridGeometry, seed: int, t_steps: int,
                                  amplitude=0.5, channels=2)
     else:
         uv = np.array(initial, dtype=np.float64, copy=True)
+        if uv.shape != (grid.h, grid.w, 2):
+            raise ValueError(f"initial has shape {uv.shape}, the grid needs "
+                             f"{(grid.h, grid.w, 2)}")
     u, v = uv[..., 0], uv[..., 1]
 
     frames = np.empty((t_steps, grid.h, grid.w, 2), dtype=dtype)
@@ -165,13 +169,29 @@ def default_forcing(grid: GridGeometry, amplitude: float = 0.1) -> np.ndarray:
 
 
 def _spectral_operators(h: int, w: int):
-    """Angular wavenumbers ky (h, 1) and kx (1, w) on the periodic unit square,
+    """Angular wavenumbers on the half spectrum that rfft2 keeps of a real
+    (h, w) field on the periodic unit square: ky (h, 1), kx (1, w//2 + 1),
     |k|^2, and the inverse Laplacian symbol 1/|k|^2 (0 for the mean mode)."""
     ky = 2 * np.pi * np.fft.fftfreq(h, d=1.0 / h)[:, None]
-    kx = 2 * np.pi * np.fft.fftfreq(w, d=1.0 / w)[None, :]
+    kx = 2 * np.pi * np.fft.rfftfreq(w, d=1.0 / w)[None, :]
     k_sq = kx ** 2 + ky ** 2
     k_sq_inv = np.where(k_sq > 0, 1.0 / np.where(k_sq > 0, k_sq, 1.0), 0.0)
     return ky, kx, k_sq, k_sq_inv
+
+
+def _flow_symbols(h: int, w: int, keep=True) -> np.ndarray:
+    """(4, h, w//2 + 1) half-spectrum symbols i ky/|k|^2, -i kx/|k|^2, i kx
+    and i ky, zero where `keep` is False.
+
+    Times a vorticity spectrum and through one irfft2 they give u = dpsi/dy,
+    v = -dpsi/dx, domega/dx and domega/dy, where -lap psi = omega.  Along an
+    axis of even length the Nyquist mode's derivative vanishes at every grid
+    point, so its wavenumber differentiates to 0.
+    """
+    ky, kx, _, k_sq_inv = _spectral_operators(h, w)
+    dy = 1j * np.where(np.abs(ky) < np.pi * h, ky, 0.0)
+    dx = 1j * np.where(np.abs(kx) < np.pi * w, kx, 0.0)
+    return np.stack(np.broadcast_arrays(dy * k_sq_inv, -dx * k_sq_inv, dx, dy)) * keep
 
 
 def solve_navier_stokes(grid: GridGeometry, seed: int, t_steps: int, dt: float,
@@ -181,59 +201,61 @@ def solve_navier_stokes(grid: GridGeometry, seed: int, t_steps: int, dt: float,
                         dtype=np.float32) -> Trajectory:
     """2D incompressible flow in vorticity form on the periodic unit square.
 
-    Pseudo-spectral: stream function from the vorticity Poisson solve,
-    advection formed in physical space from 2/3-dealiased spectra, viscous
-    term Crank-Nicolson, forcing fixed in time.
+    Pseudo-spectral on the real FFT's half spectrum: each substep takes one
+    batched irfft2 for the velocity and the vorticity gradient of the
+    2/3-dealiased spectrum, forms the advection in physical space and takes
+    one rfft2 of it.  Viscous term Crank-Nicolson, forcing fixed in time.
     """
     h, w = grid.h, grid.w
     if h & (h - 1) or w & (w - 1):
         raise ValueError("grid extents must be powers of two for the spectral solver")
-    if viscosity <= 0:
-        raise ValueError("viscosity must be positive")
+    if not (np.isfinite(viscosity) and viscosity > 0):
+        raise ValueError(f"viscosity must be finite and positive, got {viscosity}")
+    if not np.isfinite(forcing_amplitude):
+        raise ValueError(f"forcing_amplitude must be finite, got {forcing_amplitude}")
     if t_steps < 2:
         raise ValueError("t_steps must be >= 2")
     _check_dt(dt)
-
-    ky, kx, k_sq, k_sq_inv = _spectral_operators(h, w)
-    kmax_y = (2 * np.pi) * (h // 2)
-    kmax_x = (2 * np.pi) * (w // 2)
-    dealias = (np.abs(ky) < (2.0 / 3.0) * kmax_y) & (np.abs(kx) < (2.0 / 3.0) * kmax_x)
-
     if substeps is None:
         substeps = max(1, int(np.ceil(dt / 5e-3)))
-    sub_dt = dt / substeps
-
+    elif not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
     if initial_vorticity is None:
         omega = _band_limited_noise(h, w, seed, k_cut=6, amplitude=2.0)[..., 0]
     else:
         omega = np.array(initial_vorticity, dtype=np.float64, copy=True)
-    f_hat = np.fft.fft2(default_forcing(grid, forcing_amplitude)) \
+        if omega.shape != (h, w):
+            raise ValueError(f"initial_vorticity has shape {omega.shape}, "
+                             f"the grid needs {(h, w)}")
+    sub_dt = dt / substeps
+
+    ky, kx, k_sq, _ = _spectral_operators(h, w)
+    kmax_y = (2 * np.pi) * (h // 2)
+    kmax_x = (2 * np.pi) * (w // 2)
+    dealias = (np.abs(ky) < (2.0 / 3.0) * kmax_y) & (np.abs(kx) < (2.0 / 3.0) * kmax_x)
+    symbols = _flow_symbols(h, w, dealias)
+    f_step = sub_dt * np.fft.rfft2(default_forcing(grid, forcing_amplitude)) \
         if forcing_amplitude != 0.0 else None
 
-    omega_hat = np.fft.fft2(omega)
+    omega_hat = np.fft.rfft2(omega)
     visc_minus = 1.0 - 0.5 * sub_dt * viscosity * k_sq
     visc_plus = 1.0 + 0.5 * sub_dt * viscosity * k_sq
 
     def advection_hat(w_hat):
-        wd = w_hat * dealias
-        psi_hat = wd * k_sq_inv
-        u = np.fft.ifft2(1j * ky * psi_hat).real
-        v = np.fft.ifft2(-1j * kx * psi_hat).real
-        wx = np.fft.ifft2(1j * kx * wd).real
-        wy = np.fft.ifft2(1j * ky * wd).real
-        return np.fft.fft2(-(u * wx + v * wy))
+        u, v, wx, wy = np.fft.irfft2(symbols * w_hat, s=(h, w))
+        return np.fft.rfft2(-(u * wx + v * wy))
 
     frames = np.empty((t_steps, h, w, 1), dtype=dtype)
-    frames[0, ..., 0] = np.fft.ifft2(omega_hat).real
+    frames[0, ..., 0] = np.fft.irfft2(omega_hat, s=(h, w))
     for t in range(1, t_steps):
         for _ in range(substeps):
             rhs = omega_hat * visc_minus
             if advection:
-                rhs = rhs + sub_dt * advection_hat(omega_hat)
-            if f_hat is not None:
-                rhs = rhs + sub_dt * f_hat
+                rhs += sub_dt * advection_hat(omega_hat)
+            if f_step is not None:
+                rhs += f_step
             omega_hat = rhs / visc_plus
-        field_t = np.fft.ifft2(omega_hat).real
+        field_t = np.fft.irfft2(omega_hat, s=(h, w))
         _check_finite(field_t, NAVIER_STOKES, t)
         frames[t, ..., 0] = field_t
     return Trajectory(frames, dt, NAVIER_STOKES, seed)
@@ -241,10 +263,8 @@ def solve_navier_stokes(grid: GridGeometry, seed: int, t_steps: int, dt: float,
 
 def kinetic_energy(omega: np.ndarray) -> float:
     """0.5 * mean |u|^2 of the velocity recovered from vorticity."""
-    ky, kx, _, k_sq_inv = _spectral_operators(*omega.shape)
-    psi_hat = np.fft.fft2(omega) * k_sq_inv
-    u = np.fft.ifft2(1j * ky * psi_hat).real
-    v = np.fft.ifft2(-1j * kx * psi_hat).real
+    h, w = omega.shape
+    u, v = np.fft.irfft2(_flow_symbols(h, w)[:2] * np.fft.rfft2(omega), s=(h, w))
     return float(0.5 * np.mean(u * u + v * v))
 
 

@@ -372,8 +372,8 @@ def tap_contract(s: Tensor, wz: Tensor, k: int, gh: int, gw: int) -> Tensor:
 
     cells outside the grid reading zero: a zero-padded k x k correlation
     applied after the contraction.  The (..., k*k*C, N) intermediate is not
-    kept; each edge's vjp gathers the shifted cotangents and multiplies
-    them with wz (for s) or s (for wz).
+    kept; backward gathers the shifted cotangents once and multiplies them
+    with wz (for s) and s (for wz).
     """
     if (s.ndim < 2 or wz.ndim < 2 or k < 1 or k % 2 == 0
             or s.shape[-1] != gh * gw or wz.shape[-1] != s.shape[-2]
@@ -395,19 +395,27 @@ def tap_contract(s: Tensor, wz: Tensor, k: int, gh: int, gw: int) -> Tensor:
             out[..., dr, dc] += y[..., t, :, sr, sc]
 
     def shifted(g):
-        # called by each edge: a gather kept for the other edge would stay
-        # alive on the tape when only one input needs a gradient
         gp = _pad2d(g.reshape(lead + (c, gh, gw)), p)
         gy = np.empty(lead + (kk, c, gh, gw), dtype=g.dtype)
         for t, di, dj in taps:
             gy[..., t, :, :, :] = gp[..., p - di:p - di + gh, p - dj:p - dj + gw]
         return gy.reshape(lead + (kk * c, n))
 
+    # backward calls vjp_s and then vjp_wz with the same cotangent.  When
+    # both run, the first hands its gather to the second, which drops it,
+    # so no gather outlives the node's backward.
+    shared = []
+    both = s.requires_grad and wz.requires_grad
+
     def vjp_s(g):
-        return _unbroadcast(wz.data.swapaxes(-1, -2) @ shifted(g), s.shape)
+        gy = shifted(g)
+        if both:
+            shared.append(gy)
+        return _unbroadcast(wz.data.swapaxes(-1, -2) @ gy, s.shape)
 
     def vjp_wz(g):
-        return _unbroadcast(shifted(g) @ s.data.swapaxes(-1, -2), wz.shape)
+        gy = shared.pop() if shared else shifted(g)
+        return _unbroadcast(gy @ s.data.swapaxes(-1, -2), wz.shape)
 
     return _make(out.reshape(lead + (c, n)), (s, vjp_s), (wz, vjp_wz))
 

@@ -163,6 +163,32 @@ def check_ns_energy_neutral_advection():
     return drift < 1e-6, f"relative energy drift {drift:.2e}"
 
 
+def check_ns_advection_closed_form():
+    """One substep from omega0 = cos 2 pi x + cos 4 pi y, whose advection
+    -(u . grad omega) is 1.5 sin 2 pi x sin 4 pi y, and one forcing-only
+    substep from rest, which adds dt times the forcing.  Energy neutrality
+    and mean conservation hold for either sign of the advection term; this
+    check does not."""
+    grid, dt = pg.GridGeometry(32, 32), 1e-3
+    xy = grid.coords()
+    x, y = xy[..., 0], xy[..., 1]
+
+    def one_step(**kw):
+        traj = pg.solve_navier_stokes(grid, seed=0, t_steps=2, dt=dt,
+                                      viscosity=1e-12, substeps=1,
+                                      dtype=np.float64, **kw)
+        return traj.frames[..., 0]
+
+    w0, w1 = one_step(forcing_amplitude=0.0,
+                      initial_vorticity=np.cos(2 * np.pi * x) + np.cos(4 * np.pi * y))
+    adv = 1.5 * np.sin(2 * np.pi * x) * np.sin(4 * np.pi * y)
+    adv_dev = np.abs((w1 - w0) / dt - adv).max()
+    _, f1 = one_step(advection=False, initial_vorticity=np.zeros((32, 32)))
+    force_dev = np.abs(f1 / dt - pg.default_forcing(grid)).max()
+    return (adv_dev < 1e-8 and force_dev < 1e-8,
+            f"advection dev {adv_dev:.2e}, forcing dev {force_dev:.2e}")
+
+
 # -- masking checks ------------------------------------------------------------------
 
 def check_patch_counting():
@@ -525,6 +551,7 @@ CHECKS = [
     ("dr_mean_conservation", "pdegen", check_dr_mean_conservation),
     ("dr_scalar_ode", "pdegen", check_dr_scalar_ode),
     ("ns_energy_neutral_advection", "pdegen", check_ns_energy_neutral_advection),
+    ("ns_advection_closed_form", "pdegen", check_ns_advection_closed_form),
     ("patch_counting", "masking", check_patch_counting),
     ("pointwise_monte_carlo", "masking", check_pointwise_monte_carlo),
     ("kernel_oracle", "model", check_kernel_oracle),

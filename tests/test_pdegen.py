@@ -78,6 +78,13 @@ def test_dr_divergence_reports_step():
     assert e.value.step >= 1
 
 
+@pytest.mark.parametrize("shape", [(32, 32), (32, 32, 3), (16, 16, 2)])
+def test_dr_rejects_a_misshapen_initial_field(shape):
+    with pytest.raises(ValueError, match="initial has shape"):
+        pg.solve_diffusion_reaction(GRID, seed=0, t_steps=3, dt=0.01,
+                                    initial=np.zeros(shape))
+
+
 def test_dr_seed_determinism():
     a = pg.solve_diffusion_reaction(GRID, seed=11, t_steps=5, dt=0.02)
     b = pg.solve_diffusion_reaction(GRID, seed=11, t_steps=5, dt=0.02)
@@ -130,6 +137,98 @@ def test_ns_advection_energy_neutral():
     energies = np.array([pg.kinetic_energy(f[t]) for t in range(6)])
     rel_drift = np.abs(np.diff(energies)) / energies[0]
     assert rel_drift.max() < 1e-6
+
+
+def test_ns_advection_matches_its_closed_form():
+    # omega0 = cos 2 pi x + cos 4 pi y: psi = cos 2 pi x / (2 pi)^2 +
+    # cos 4 pi y / (4 pi)^2, u = dpsi/dy = -sin 4 pi y / (4 pi),
+    # v = -dpsi/dx = sin 2 pi x / (2 pi), so -(u omega_x + v omega_y) =
+    # 1.5 sin 2 pi x sin 4 pi y; a flipped sign or a swapped component fails
+    xy = GRID.coords()
+    x, y = xy[..., 0], xy[..., 1]
+    dt = 1e-3
+    traj = pg.solve_navier_stokes(GRID, seed=0, t_steps=2, dt=dt, viscosity=1e-12,
+                                  forcing_amplitude=0.0, substeps=1,
+                                  initial_vorticity=np.cos(2 * np.pi * x)
+                                  + np.cos(4 * np.pi * y), dtype=np.float64)
+    rate = (traj.frames[1, ..., 0] - traj.frames[0, ..., 0]) / dt
+    assert np.abs(rate - 1.5 * np.sin(2 * np.pi * x) * np.sin(4 * np.pi * y)).max() < 1e-8
+
+
+def test_ns_forcing_only_step_adds_dt_times_the_forcing():
+    dt = 1e-3
+    traj = pg.solve_navier_stokes(GRID, seed=0, t_steps=2, dt=dt, viscosity=1e-12,
+                                  advection=False, substeps=1,
+                                  initial_vorticity=np.zeros((32, 32)),
+                                  dtype=np.float64)
+    assert np.abs(traj.frames[1, ..., 0] / dt - pg.default_forcing(GRID)).max() < 1e-8
+
+
+def complex_fft_reference(grid, seed, t_steps, dt, viscosity=1e-3,
+                          forcing_amplitude=0.1):
+    """The solver's float64 frames computed on full complex spectra, with
+    four ifft2 and one fft2 per substep, as the solver ran before it moved
+    to the real FFT."""
+    h, w = grid.h, grid.w
+    ky = 2 * np.pi * np.fft.fftfreq(h, d=1.0 / h)[:, None]
+    kx = 2 * np.pi * np.fft.fftfreq(w, d=1.0 / w)[None, :]
+    k_sq = kx ** 2 + ky ** 2
+    k_sq_inv = np.where(k_sq > 0, 1.0 / np.where(k_sq > 0, k_sq, 1.0), 0.0)
+    dealias = ((np.abs(ky) < (2.0 / 3.0) * 2 * np.pi * (h // 2))
+               & (np.abs(kx) < (2.0 / 3.0) * 2 * np.pi * (w // 2)))
+    substeps = max(1, int(np.ceil(dt / 5e-3)))
+    sub_dt = dt / substeps
+    omega_hat = np.fft.fft2(pg._band_limited_noise(h, w, seed, k_cut=6, amplitude=2.0)[..., 0])
+    f_hat = np.fft.fft2(pg.default_forcing(grid, forcing_amplitude))
+    visc_minus = 1.0 - 0.5 * sub_dt * viscosity * k_sq
+    visc_plus = 1.0 + 0.5 * sub_dt * viscosity * k_sq
+    frames = [np.fft.ifft2(omega_hat).real]
+    for _ in range(1, t_steps):
+        for _ in range(substeps):
+            psi_hat = omega_hat * dealias * k_sq_inv
+            u = np.fft.ifft2(1j * ky * psi_hat).real
+            v = np.fft.ifft2(-1j * kx * psi_hat).real
+            wx = np.fft.ifft2(1j * kx * omega_hat * dealias).real
+            wy = np.fft.ifft2(1j * ky * omega_hat * dealias).real
+            adv = np.fft.fft2(-(u * wx + v * wy))
+            omega_hat = (omega_hat * visc_minus + sub_dt * adv + sub_dt * f_hat) / visc_plus
+        frames.append(np.fft.ifft2(omega_hat).real)
+    return np.stack(frames)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ns_real_fft_matches_the_complex_fft_reference(n, seed):
+    grid = pg.GridGeometry(n, n)
+    got = pg.solve_navier_stokes(grid, seed, t_steps=6, dt=0.2, dtype=np.float64)
+    want = complex_fft_reference(grid, seed, t_steps=6, dt=0.2)
+    assert np.abs(got.frames[..., 0] - want).max() / np.abs(want).max() < 1e-12
+
+
+@pytest.mark.parametrize("substeps", [-1, 0, 2.5])
+def test_ns_rejects_a_substep_count_that_is_not_a_positive_integer(substeps):
+    with pytest.raises(ValueError, match="substeps"):
+        pg.solve_navier_stokes(GRID, seed=0, t_steps=3, dt=0.05, substeps=substeps)
+
+
+@pytest.mark.parametrize("viscosity", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_ns_rejects_a_viscosity_that_is_not_finite_and_positive(viscosity):
+    with pytest.raises(ValueError, match="viscosity"):
+        pg.solve_navier_stokes(GRID, seed=0, t_steps=3, dt=0.05, viscosity=viscosity)
+
+
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
+def test_ns_rejects_a_non_finite_forcing_amplitude(amplitude):
+    with pytest.raises(ValueError, match="forcing_amplitude"):
+        pg.solve_navier_stokes(GRID, seed=0, t_steps=3, dt=0.05,
+                               forcing_amplitude=amplitude)
+
+
+@pytest.mark.parametrize("shape", [(32, 16), (32, 32, 1), (16, 16)])
+def test_ns_rejects_a_misshapen_initial_vorticity(shape):
+    with pytest.raises(ValueError, match="initial_vorticity has shape"):
+        pg.solve_navier_stokes(GRID, seed=0, t_steps=3, dt=0.05,
+                               initial_vorticity=np.zeros(shape))
 
 
 def test_ns_requires_power_of_two():

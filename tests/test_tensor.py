@@ -349,6 +349,27 @@ def test_tap_contract_gradients_match_finite_differences(k, gh, gw, const):
             assert rel_err(grads[p], fd) < 1e-8
 
 
+@pytest.mark.parametrize("const", [None, "s", "wz"])
+def test_tap_contract_backward_gathers_the_cotangent_once(monkeypatch, const):
+    # each gather pads the cotangent once; with both inputs needing a
+    # gradient the second edge reuses the first edge's gather
+    pads = []
+    pad2d = T._pad2d
+
+    def counting_pad2d(x, p):
+        pads.append(x.shape)
+        return pad2d(x, p)
+
+    monkeypatch.setattr(T, "_pad2d", counting_pad2d)
+    rng = np.random.default_rng(7)
+    s = Tensor(rng.normal(size=(2, 3, 12)), requires_grad=const != "s")
+    wz = Tensor(rng.normal(size=(2, 18, 3)), requires_grad=const != "wz")
+    with T.tape():
+        grads = T.backward(T.tap_contract(s, wz, 3, 3, 4).sum())
+    assert len(pads) == 1
+    assert set(grads) == {t for t in (s, wz) if t.requires_grad}
+
+
 def test_tap_contract_rejects_mismatched_grid():
     with pytest.raises(T.ShapeMismatch, match="tap_contract"):
         T.tap_contract(Tensor(np.zeros((2, 12))), Tensor(np.zeros((9, 2))), 3, 3, 5)

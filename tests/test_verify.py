@@ -1,4 +1,5 @@
 from partialpde import model as md
+from partialpde import pdegen as pg
 from partialpde import tensor as T
 from partialpde import verify as vf
 
@@ -9,7 +10,7 @@ def test_run_suite_passes_and_leaves_no_tape_nodes(tmp_path):
     ok, results = vf.run_suite(tmp_dir=str(tmp_path))
     assert len(T.active_tape()) == 0 and not T.active_tape().recording
     assert ok, [r for r in results if not r.ok]
-    assert len(results) == 23
+    assert len(results) == 24
 
 
 def test_each_check_leaves_the_tape_as_it_found_it(tmp_path):
@@ -50,6 +51,23 @@ def test_kernel_oracle_check_catches_a_wrong_window_count(monkeypatch):
     monkeypatch.setattr(md, "_window_counts", one_extra)
     ok, detail = vf.check_kernel_oracle()
     assert not ok, detail
+
+
+def test_advection_oracle_catches_a_flipped_advection_sign(monkeypatch):
+    # negating both gradient symbols flips the sign of -(u . grad omega);
+    # energy neutrality and mean conservation hold either way
+    flow_symbols = pg._flow_symbols
+
+    def flipped(*args):
+        sym = flow_symbols(*args)
+        sym[2:] *= -1
+        return sym
+
+    monkeypatch.setattr(pg, "_flow_symbols", flipped)
+    ok, detail = vf.check_ns_advection_closed_form()
+    assert not ok, detail
+    assert vf.check_ns_energy_neutral_advection()[0]
+    assert vf.check_ns_mean_conservation()[0]
 
 
 def test_run_suite_needs_neither_the_precision_switch_nor_the_depthwise_conv(
