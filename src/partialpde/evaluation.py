@@ -1,5 +1,6 @@
 """Evaluation metrics: relative L2, masked one-step evaluation over
-rate/pattern grids, CSV rows, and the cubic interpolation-fill reference mode.
+rate/pattern grids, CSV rows, and the interpolation-fill reference mode
+(Clough-Tocher cubic interpolation over the observed cells).
 
 The ablation and train/test-rate matrix harnesses train models, so they live
 in `training`, next to `train_on_splits`.
@@ -122,47 +123,21 @@ def evaluate_checkpoint(checkpoint_path, dataset, pattern, test_rates,
 
 
 # -- cubic interpolation fill -----------------------------------------------------
-# scipy.interpolate and scipy.ndimage are slow to import and only this
-# baseline needs them, so the functions below import them on first use.
-
-def _fill_axis(field2d: np.ndarray, observed: np.ndarray, axis: int) -> np.ndarray:
-    """1D spline fill along rows (axis=1) or columns (axis=0); NaN elsewhere."""
-    from scipy.interpolate import InterpolatedUnivariateSpline
-
-    out = np.full(field2d.shape, np.nan)
-    f = field2d if axis == 1 else field2d.T
-    obs = observed if axis == 1 else observed.T
-    o = out if axis == 1 else out.T
-    n = f.shape[1]
-    xs = np.arange(n)
-    for r in range(f.shape[0]):
-        idx = xs[obs[r]]
-        if idx.size < 2:
-            continue
-        k = min(3, idx.size - 1)
-        spline = InterpolatedUnivariateSpline(idx, f[r, obs[r]], k=k)
-        lo, hi = idx[0], idx[-1]
-        inside = (xs >= lo) & (xs <= hi)
-        o[r, inside] = spline(xs[inside])
-    return out
-
-
-def _nearest_fill(field2d: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    from scipy import ndimage
-
-    _, (iy, ix) = ndimage.distance_transform_edt(~observed, return_indices=True)
-    return field2d[iy, ix]
-
 
 def interp_fill_baseline(frame: np.ndarray, m) -> np.ndarray:
-    """Complete the unobserved cells of one (H, W, C) frame by separable
-    cubic interpolation.
+    """Complete the unobserved cells of one (H, W, C) frame by piecewise
+    cubic (Clough-Tocher) interpolation over the observed cells.
 
-    Row-wise then column-wise natural splines inside the observed hull are
-    averaged; cells neither pass reaches (large holes, hull exterior) fall
-    back to the nearest observed value.  Reference mode for interp-then-train
-    pipelines; needs at least 4 observed points.
+    Holes outside the observed cells' convex hull, and every hole when the
+    observed cells are collinear, take the nearest observed value.
+    Reference mode for interp-then-train pipelines; needs at least 4
+    observed points.
     """
+    # scipy.interpolate and scipy.spatial are slow to import and only this
+    # baseline needs them
+    from scipy.interpolate import griddata
+    from scipy.spatial import QhullError
+
     grid = m.grid if isinstance(m, mk.ObservationMask) else np.asarray(m)
     observed = grid.astype(bool)
     if observed.sum() < 4:
@@ -171,16 +146,14 @@ def interp_fill_baseline(frame: np.ndarray, m) -> np.ndarray:
     missing = ~observed
     if not np.any(missing):
         return out
-    for c in range(out.shape[-1]):
-        f = out[..., c]
-        both = np.stack([_fill_axis(f, observed, axis=1),
-                         _fill_axis(f, observed, axis=0)])
-        # the mean of the passes that reach a cell; NaN where neither does
-        count = (~np.isnan(both)).sum(axis=0)
-        est = np.divide(np.nansum(both, axis=0), count,
-                        out=np.full(f.shape, np.nan), where=count > 0)
-        still = missing & np.isnan(est)
-        if np.any(still):
-            est[still] = _nearest_fill(f, observed)[still]
-        f[missing] = est[missing]
+    points, holes = np.argwhere(observed), np.argwhere(missing)
+    values = out[observed]                                  # (n_observed, C)
+    try:
+        est = griddata(points, values, holes, method="cubic")
+    except QhullError:                                      # collinear points
+        est = np.full((len(holes), out.shape[-1]), np.nan)
+    outside = np.isnan(est).any(axis=-1)
+    if np.any(outside):
+        est[outside] = griddata(points, values, holes[outside], method="nearest")
+    out[missing] = est
     return out

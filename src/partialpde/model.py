@@ -21,6 +21,7 @@ propagated mask:
     num[n] = f[n] * sum_o shift_o(S^T @ (w_o * Z1))[n] + obs[n] * (b . Z1)
     out[n] = num[n, :C_h] / num[n, C_h]          (zero where num[n, C_h] <= 0)
 
+Without boundary_first the maps are not propagated and num = S^T @ Z1.
 `pconv_propagate` computes f and obs from the mask alone; `phca_decode`
 does the rest with one `tensor.tap_contract` per layer.
 """
@@ -28,8 +29,9 @@ does the rest with one `tensor.tap_contract` per layer.
 from __future__ import annotations
 
 import io
+import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"POBW"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 MIXERS = ("attention", "mlp", "none")
 EPS = 1e-6      # keeps each token's aggregation weights from dividing by zero
@@ -319,7 +321,7 @@ def token_mix(z: Tensor, params: ModelParams, layer: int) -> Tensor:
 
 def _fused_numerator(z_mixed: Tensor, s: Tensor, factor, mask_next,
                      params: ModelParams, layer: int, gh: int, gw: int) -> Tensor:
-    """[Z | 1]^T @ S_next without forming S_next: (B, H, C_h+1, N)."""
+    """The decode numerator num of the module docstring: (B, H, C_h+1, N)."""
     cfg = params.config
     b, h, l, ch = z_mixed.shape
     dtype = z_mixed.dtype
@@ -346,19 +348,10 @@ def phca_decode(z_mixed: Tensor, s: Tensor, mask: np.ndarray,
     propagated; mask: the layer's input mask (B, N).  Returns
     (branch (B, N, C), mask_next (B, N)).
 
-    The decode maps are the propagated encoder maps S_next, normalized over
-    the tokens at each point.  Because the partial convolution is linear
-    and acts per token, it moves past the token contraction.  With
-    Z1 = [Z | 1], per-token kernel taps w_o and bias b, and f, obs from
-    `pconv_propagate`, per head:
-
-        num = Z1^T @ S_next = f * sum_o shift_o((w_o * Z1)^T @ S) + obs * (Z1^T @ b)
-        out = num[:C_h] / num[C_h]                        (C_h, N)
-
-    One `T.tap_contract` does the contraction and the shifted sum.  Points
+    The decode is the module docstring's num/out formula per head.  Points
     whose token sum is not positive decode to exact zero: points the mask
     has not reached (sum 0), and points that sign-mixed taps or bias drive
-    to zero or below.  Without boundary_first, num is Z1^T @ S.
+    to zero or below.
     """
     cfg = params.config
     if cfg.boundary_first:
@@ -436,43 +429,22 @@ def lano_forward(coords: np.ndarray, frames: np.ndarray, mask: np.ndarray,
 
 
 # -- checkpoints -----------------------------------------------------------------
-# magic "POBW", version u32, u32-length-prefixed key=value config text (one
-# line per ModelConfig field, in declaration order), then parameter tensors
-# in declaration order: ndim u8, dims u32 each, float32 data.
+# magic "POBW", version u32, u32-length-prefixed UTF-8 JSON object of the
+# ModelConfig fields, then parameter tensors in declaration order: ndim u8,
+# dims u32 each, float32 data.
 
 def config_to_text(cfg: ModelConfig) -> str:
-    # plain Python literals: a numpy scalar's repr is not one under NumPy 2
-    return "\n".join(f"{f.name}={_plain(getattr(cfg, f.name))!r}"
-                     for f in fields(cfg))
-
-
-def _plain(v):
-    return v.item() if isinstance(v, np.generic) else v
+    return json.dumps(asdict(cfg))
 
 
 def config_from_text(text: str) -> ModelConfig:
-    kw = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, val = line.split("=", 1)
-        kw[key] = _parse_literal(val)
+    kw = json.loads(text)
+    if not isinstance(kw, dict):
+        raise ValueError("config is not a JSON object")
     missing = [f.name for f in fields(ModelConfig) if f.name not in kw]
     if missing:
         raise ValueError(f"missing config field(s) {', '.join(missing)}")
     return ModelConfig(**kw)
-
-
-def _parse_literal(v: str):
-    v = v.strip()
-    if v in ("True", "False"):
-        return v == "True"
-    if v.startswith("'") and v.endswith("'"):
-        return v[1:-1]
-    try:
-        return int(v)
-    except ValueError:
-        return float(v)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -511,7 +483,7 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: truncated config")
     try:
         cfg = config_from_text(raw[12:off].decode("utf-8"))
-    except (ValueError, TypeError) as e:     # garbled value, unknown key
+    except (ValueError, TypeError) as e:     # bad JSON or value, unknown key
         raise CheckpointError(f"{path}: bad config: {e}") from None
     params = ModelParams(cfg, seed=0)
     for name, _, _ in _param_specs(cfg):

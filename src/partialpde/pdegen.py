@@ -15,9 +15,9 @@ on-disk precision.
 
 from __future__ import annotations
 
-import re
+import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -119,10 +119,14 @@ def solve_diffusion_reaction(grid: GridGeometry, seed: int, t_steps: int,
         dv/dt = DR_D_V lap(v) + u - v
 
     Explicit Euler with internal substepping to satisfy the diffusion
-    stability bound dt <= h^2 / (4 max(DR_D_U, DR_D_V)).
+    stability bound dt <= h^2 / (4 max(DR_D_U, DR_D_V)).  The stencil takes
+    one spacing h = 1/W for both axes, so the grid must be square.
     """
     if t_steps < 2:
         raise ValueError("t_steps must be >= 2")
+    if grid.h != grid.w:
+        raise ValueError(f"diffusion-reaction needs a square grid, got "
+                         f"{grid.h}x{grid.w}")
     _check_dt(dt)
     hx = 1.0 / grid.w
     h_sq = hx * hx
@@ -323,6 +327,9 @@ def read_trajectory(path, dt: float = 1.0) -> Trajectory:
     return Trajectory(frames.astype(np.float32), float(dt), _KIND_NAMES[kind], seed)
 
 
+# -- dataset manifest -------------------------------------------------------------
+# manifest.txt holds one UTF-8 JSON object of the DatasetManifest fields.
+
 @dataclass
 class DatasetManifest:
     pde_kind: str
@@ -332,47 +339,31 @@ class DatasetManifest:
     t_all: int
     dt: float
     files: dict = field(default_factory=dict)    # split -> list of file names
-    seeds: dict = field(default_factory=dict)    # split -> list of ints
 
 
 def write_manifest(m: DatasetManifest, path) -> None:
-    lines = [
-        f"pde_kind={m.pde_kind}",
-        f"h={m.h}", f"w={m.w}", f"channels={m.channels}",
-        f"t_all={m.t_all}", f"dt={m.dt!r}",
-    ]
-    for split in sorted(m.files):
-        lines.append(f"{split}_files={','.join(m.files[split])}")
-        lines.append(f"{split}_seeds={','.join(str(s) for s in m.seeds.get(split, []))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(m)), encoding="utf-8")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def read_manifest(path) -> DatasetManifest:
-    kv = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"{path}: bad manifest line {line!r}")
-        k, v = line.split("=", 1)
-        kv[k] = v
     try:
-        m = DatasetManifest(
-            pde_kind=kv["pde_kind"], h=int(kv["h"]), w=int(kv["w"]),
-            channels=int(kv["channels"]), t_all=int(kv["t_all"]),
-            dt=float(kv["dt"]))
-        for k, v in kv.items():
-            mt = re.fullmatch(r"(\w+)_files", k)
-            if mt:
-                m.files[mt.group(1)] = [s for s in v.split(",") if s]
-            mt = re.fullmatch(r"(\w+)_seeds", k)
-            if mt:
-                m.seeds[mt.group(1)] = [int(s) for s in v.split(",") if s]
-    except KeyError as e:
-        raise DataFormatError(f"{path}: manifest missing key {e}") from None
-    except ValueError as e:
-        raise DataFormatError(f"{path}: bad manifest value: {e}") from None
+        m = DatasetManifest(**json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, TypeError) as e:     # not JSON or not an object, bad keys
+        raise DataFormatError(f"{path}: bad manifest: {e}") from None
+    valid = {
+        "h": _is_int(m.h), "w": _is_int(m.w), "channels": _is_int(m.channels),
+        "t_all": _is_int(m.t_all), "dt": _is_int(m.dt) or isinstance(m.dt, float),
+        "files": isinstance(m.files, dict) and all(
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+            for names in m.files.values()),
+    }
+    bad = [k for k, ok in valid.items() if not ok]
+    if bad:
+        raise DataFormatError(f"{path}: bad manifest value of {', '.join(bad)}")
     return m
 
 
@@ -386,14 +377,9 @@ def write_dataset(trajs_by_split: dict, out_dir) -> DatasetManifest:
     t_all, h, w, c = first.frames.shape
     m = DatasetManifest(first.pde_kind, h, w, c, t_all, first.dt)
     for split, trajs in trajs_by_split.items():
-        names, seeds = [], []
-        for i, traj in enumerate(trajs):
-            name = f"traj_{split}_{i:05d}.pobd"
+        m.files[split] = [f"traj_{split}_{i:05d}.pobd" for i in range(len(trajs))]
+        for name, traj in zip(m.files[split], trajs):
             write_trajectory(traj, out / name)
-            names.append(name)
-            seeds.append(traj.seed)
-        m.files[split] = names
-        m.seeds[split] = seeds
     write_manifest(m, out / "manifest.txt")
     return m
 

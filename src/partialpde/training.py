@@ -290,7 +290,9 @@ def _train_step(params, state, coords, frames, targets, mask_objs,
         for i, m in enumerate(mask_objs):
             rate = rng.uniform(0, m.missing_rate)
             m_aug, _ = mk.mpt_augment(m, rate, seed=int(rng.integers(2 ** 32)))
-            aug[i] = m_aug.grid
+            # an augmentation that hides every observed cell leaves nothing
+            # to encode: that sample keeps its own mask for this step
+            aug[i] = m_aug.grid if m_aug.grid.any() else m.grid
     else:
         aug = masks
 

@@ -1,4 +1,5 @@
 import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from partialpde import model as md
 from partialpde import pdegen as pg
 from partialpde import training as tr
 
-from util import replace_config_line
+from util import edit_config
 
 TINY_MODEL = ["--layers", "1", "--channels", "8", "--heads", "2", "--tokens", "2",
               "--history", "2", "--mlp-ratio", "1"]
@@ -185,7 +186,7 @@ def test_cli_train_rejects_an_unusable_setting(tmp_path, capsys, flag, value, fi
 
 def test_cli_eval_of_a_checkpoint_with_a_mistyped_config_is_an_error(tmp_path, capsys):
     ckpt = tiny_checkpoint(tmp_path)
-    ckpt.write_bytes(replace_config_line(ckpt.read_bytes(), b"layers=1", b"layers=1.5"))
+    ckpt.write_bytes(edit_config(ckpt.read_bytes(), "layers", 1.5))
     code, err = run(capsys, "eval", "--ckpt", ckpt, "--data", small_dataset(tmp_path),
                     "--out", tmp_path / "e.csv")
     assert code == 1
@@ -197,8 +198,9 @@ def test_cli_eval_of_a_checkpoint_with_a_mistyped_config_is_an_error(tmp_path, c
 def test_cli_dataset_without_a_train_split_is_an_error(tmp_path, capsys, command):
     ds = small_dataset(tmp_path)
     manifest = ds / "manifest.txt"
-    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
-                                if not line.startswith("train_")))
+    m = json.loads(manifest.read_text())
+    del m["files"]["train"]
+    manifest.write_text(json.dumps(m))
     code, err = run(capsys, *command, "--data", ds, *TINY_MODEL, "--epochs", 1,
                     "--out", tmp_path / "run")
     assert code == 1

@@ -57,7 +57,7 @@ def test_importing_the_cli_leaves_interpolation_modules_unloaded():
             "import partialpde.evaluation; "
             "print('partialpde.training' in sys.modules); import partialpde.cli; "
             "print(sorted(m for m in ('scipy.interpolate', 'scipy.ndimage', "
-            "'scipy.special') if m in sys.modules))")
+            "'scipy.spatial', 'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, str(src)],
                          capture_output=True, text=True, check=True)
     # evaluation must not import training: the harnesses that train live in training.
@@ -107,9 +107,9 @@ def test_predict_batch_takes_a_uint8_mask_as_is():
 
 
 def test_interp_fill_of_cells_no_pass_reaches_warns_nothing():
-    # observed: the top-left 4x4 block only, so neither spline pass reaches
-    # the cells right of or below it, and every such cell takes the value
-    # of its nearest observed cell
+    # observed: the top-left 4x4 block only, so every cell right of or below
+    # it lies outside the observed cells' convex hull and takes the value of
+    # its nearest observed cell
     rng = np.random.default_rng(0)
     frame = rng.normal(size=(16, 16, 2))
     grid = np.zeros((16, 16), dtype=np.uint8)
@@ -120,3 +120,16 @@ def test_interp_fill_of_cells_no_pass_reaches_warns_nothing():
     rows, cols = np.mgrid[0:16, 0:16]
     nearest = frame[np.minimum(rows, 3), np.minimum(cols, 3)]
     assert np.array_equal(filled, nearest)
+
+
+def test_interp_fill_of_collinear_observed_cells_takes_the_nearest_value():
+    # observed: one full row, which has no triangulation, so every hole
+    # takes the value of the observed cell in its column
+    rng = np.random.default_rng(1)
+    frame = rng.normal(size=(8, 12, 2))
+    grid = np.zeros((8, 12), dtype=np.uint8)
+    grid[5] = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filled = ev.interp_fill_baseline(frame, grid)
+    assert np.array_equal(filled, np.broadcast_to(frame[5], frame.shape))

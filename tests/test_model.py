@@ -11,7 +11,7 @@ from partialpde import tensor as T
 from partialpde import verify as vf
 from partialpde.tensor import Tensor
 
-from util import corrupt_decode_normalization, replace_config_line
+from util import corrupt_decode_normalization, edit_config, with_config_text
 
 
 def small_config(**kw):
@@ -740,8 +740,8 @@ def test_checkpoint_round_trips_every_config_field(tmp_path):
 
 
 def test_checkpoint_config_holding_numpy_scalars_round_trips(tmp_path):
-    # np.float64 and np.str_ pass the type check; the text holds plain
-    # literals, the same text as for the equal Python values
+    # np.float64 and np.str_ pass the type check and serialize as plain JSON,
+    # the same text as for the equal Python values
     cfg = small_config(temperature=np.float64(0.75), token_mixer=np.str_("mlp"))
     p = tmp_path / "m.pobw"
     md.save_checkpoint(md.ModelParams(cfg, seed=3), p)
@@ -749,9 +749,10 @@ def test_checkpoint_config_holding_numpy_scalars_round_trips(tmp_path):
     assert md.config_to_text(cfg) == md.config_to_text(
         small_config(temperature=0.75, token_mixer="mlp"))
     assert md.config_to_text(md.ModelConfig()) == (
-        "layers=8\nchannels=64\nheads=8\nlatent_tokens=32\ntemperature=0.5\n"
-        "pconv_kernel=3\nhistory=10\nphys_channels=1\nmlp_ratio=2.0\n"
-        "token_mixer='attention'\nboundary_first=True")
+        '{"layers": 8, "channels": 64, "heads": 8, "latent_tokens": 32, '
+        '"temperature": 0.5, "pconv_kernel": 3, "history": 10, '
+        '"phys_channels": 1, "mlp_ratio": 2.0, "token_mixer": "attention", '
+        '"boundary_first": true}')
 
 
 def test_checkpoint_version_1_is_rejected(tmp_path):
@@ -759,6 +760,19 @@ def test_checkpoint_version_1_is_rejected(tmp_path):
     old = tmp_path / "v1.pobw"
     old.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
     with pytest.raises(md.CheckpointError, match="unsupported version 1"):
+        md.load_checkpoint(old)
+
+
+def test_checkpoint_version_2_is_rejected(tmp_path):
+    # version 2 stored the config as key=value lines
+    raw = saved_checkpoint(tmp_path)
+    cfg = small_config()
+    text = "\n".join(f"{f.name}={getattr(cfg, f.name)!r}"
+                     for f in dataclasses.fields(cfg)).encode()
+    old = tmp_path / "v2.pobw"
+    old.write_bytes(with_config_text(raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+                                     text))
+    with pytest.raises(md.CheckpointError, match="unsupported version 2"):
         md.load_checkpoint(old)
 
 
@@ -784,24 +798,25 @@ def saved_checkpoint(tmp_path):
 
 
 def test_checkpoint_garbled_config_value_is_checkpoint_error(tmp_path):
-    raw = saved_checkpoint(tmp_path)
+    text = md.config_to_text(small_config()).encode()
+    assert b'"layers": 2,' in text
     bad = tmp_path / "bad.pobw"
-    bad.write_bytes(replace_config_line(raw, b"layers=2", b"layers=two"))
+    bad.write_bytes(with_config_text(saved_checkpoint(tmp_path),
+                                     text.replace(b'"layers": 2,', b'"layers": two,')))
     with pytest.raises(md.CheckpointError, match="bad config"):
         md.load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("old, new", [(b"heads=2", b"heads=0"),
-                                      (b"channels=16", b"channels=0"),
-                                      (b"temperature=0.5", b"temperature=nan"),
-                                      (b"layers=2", b"layers=1.5"),
-                                      (b"channels=16", b"channels=8.0"),
-                                      (b"history=3", b"history=1.0"),
-                                      (b"boundary_first=True", b"boundary_first='x'")])
-def test_checkpoint_unusable_config_value_is_checkpoint_error(tmp_path, old, new):
+@pytest.mark.parametrize("key, value", [
+    ("heads", 0), ("channels", 0), ("temperature", float("nan")), ("layers", 1.5),
+    ("channels", 8.0), ("history", 1.0), ("boundary_first", "x"),
+], ids=["heads=2-heads=0", "channels=16-channels=0", "temperature=0.5-temperature=nan",
+        "layers=2-layers=1.5", "channels=16-channels=8.0", "history=3-history=1.0",
+        "boundary_first=True-boundary_first='x'"])
+def test_checkpoint_unusable_config_value_is_checkpoint_error(tmp_path, key, value):
     raw = saved_checkpoint(tmp_path)
     bad = tmp_path / "bad.pobw"
-    bad.write_bytes(replace_config_line(raw, old, new))
+    bad.write_bytes(edit_config(raw, key, value))
     with pytest.raises(md.CheckpointError, match="bad config"):
         md.load_checkpoint(bad)
 
@@ -809,22 +824,23 @@ def test_checkpoint_unusable_config_value_is_checkpoint_error(tmp_path, old, new
 def test_checkpoint_unknown_config_key_is_checkpoint_error(tmp_path):
     raw = saved_checkpoint(tmp_path)
     bad = tmp_path / "bad.pobw"
-    bad.write_bytes(replace_config_line(raw, b"layers=2", b"layers=2\ndepth=2"))
+    bad.write_bytes(edit_config(raw, "depth", 2))
     with pytest.raises(md.CheckpointError, match="bad config"):
+        md.load_checkpoint(bad)
+
+
+def test_checkpoint_config_that_is_not_a_json_object_is_checkpoint_error(tmp_path):
+    bad = tmp_path / "bad.pobw"
+    bad.write_bytes(with_config_text(saved_checkpoint(tmp_path), b"[2, 16]"))
+    with pytest.raises(md.CheckpointError, match="not a JSON object"):
         md.load_checkpoint(bad)
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(md.ModelConfig)])
 def test_checkpoint_missing_config_field_is_checkpoint_error(tmp_path, name):
-    # a default filled in for the lost line would load a different model
-    raw = saved_checkpoint(tmp_path)
-    (cfg_len,) = np.frombuffer(raw, dtype="<u4", count=1, offset=8)
-    lines = raw[12:12 + cfg_len].split(b"\n")
-    text = b"\n".join(ln for ln in lines if not ln.startswith(f"{name}=".encode()))
-    assert len(text) < cfg_len
+    # a default filled in for the lost key would load a different model
     bad = tmp_path / "bad.pobw"
-    bad.write_bytes(raw[:8] + len(text).to_bytes(4, "little") + text
-                    + raw[12 + cfg_len:])
+    bad.write_bytes(edit_config(saved_checkpoint(tmp_path), name))
     with pytest.raises(md.CheckpointError, match=rf"missing config field\(s\) {name}$"):
         md.load_checkpoint(bad)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,14 @@ def test_dr_rejects_a_misshapen_initial_field(shape):
     with pytest.raises(ValueError, match="initial has shape"):
         pg.solve_diffusion_reaction(GRID, seed=0, t_steps=3, dt=0.01,
                                     initial=np.zeros(shape))
+
+
+@pytest.mark.parametrize("h, w", [(16, 32), (32, 16)])
+def test_dr_rejects_a_non_square_grid(h, w):
+    # the stencil divides both axes by (1/W)^2: on 16x32 a cos(2 pi y) mode
+    # would decay at 4x its rate
+    with pytest.raises(ValueError, match=f"square grid, got {h}x{w}"):
+        pg.solve_diffusion_reaction(pg.GridGeometry(h, w), seed=0, t_steps=3, dt=0.01)
 
 
 def test_dr_seed_determinism():
@@ -330,20 +340,44 @@ def write_small_dataset(tmp_path):
     return tmp_path / "ds" / "manifest.txt"
 
 
-@pytest.mark.parametrize("line, garbled", [
-    ("h=32", "h=eight"), ("dt=0.02", "dt=fast"), ("train_seeds=0,1", "train_seeds=0,x")])
-def test_manifest_garbled_number_is_format_error(tmp_path, line, garbled):
+def edit_manifest(path, key, value):
+    m = json.loads(path.read_text())
+    assert key in m
+    m[key] = value
+    path.write_text(json.dumps(m))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("h", "eight"), ("dt", "fast"), ("h", 8.0), ("t_all", True),
+    ("files", {"train": ["traj_train_00000.pobd", 1]}), ("files", ["a.pobd"]),
+], ids=["h=32-h=eight", "dt=0.02-dt=fast", "h-float", "t_all-bool",
+        "train_files-not-str", "files-not-a-map"])
+def test_manifest_garbled_number_is_format_error(tmp_path, key, value):
     manifest = write_small_dataset(tmp_path)
-    text = manifest.read_text()
-    assert line in text
-    manifest.write_text(text.replace(line, garbled))
-    with pytest.raises(pg.DataFormatError, match="bad manifest value"):
+    edit_manifest(manifest, key, value)
+    with pytest.raises(pg.DataFormatError, match=f"bad manifest value of {key}$"):
+        pg.read_manifest(manifest)
+
+
+@pytest.mark.parametrize("text", [
+    # the key=value lines manifests held before they were JSON
+    "pde_kind=diffusion_reaction\nh=32\nw=32\nchannels=2\nt_all=4\ndt=0.02\n"
+    "train_files=traj_train_00000.pobd\ntrain_seeds=0\n",
+    '["diffusion_reaction", 32, 32, 2, 4, 0.02]',
+    '{"pde_kind": "diffusion_reaction", "h": 32, "w": 32, "channels": 2, "t_all": 4}',
+    '{"pde_kind": "diffusion_reaction", "h": 32, "w": 32, "channels": 2, "t_all": 4, '
+    '"dt": 0.02, "files": {}, "seeds": {}}',
+], ids=["key-value-lines", "json-list", "missing-dt", "unknown-key"])
+def test_manifest_that_is_not_a_json_object_of_its_fields_is_format_error(tmp_path, text):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(text)
+    with pytest.raises(pg.DataFormatError, match="bad manifest: "):
         pg.read_manifest(manifest)
 
 
 def test_dataset_frames_disagreeing_with_manifest_are_rejected(tmp_path):
     manifest = write_small_dataset(tmp_path)
-    manifest.write_text(manifest.read_text().replace("t_all=4", "t_all=5"))
+    edit_manifest(manifest, "t_all", 5)
     with pytest.raises(pg.DataFormatError, match="disagree with the manifest"):
         pg.read_dataset(manifest.parent)
 
@@ -357,21 +391,22 @@ def test_dataset_round_trip_and_manifest(tmp_path):
     m = pg.write_dataset(trajs, tmp_path / "ds")
     assert {k: len(v) for k, v in m.files.items()} == {"train": 3, "val": 1}
     m2, splits = pg.read_dataset(tmp_path / "ds")
+    assert m2 == m
     assert m2.pde_kind == pg.DIFFUSION_REACTION
-    assert m2.seeds["train"] == [0, 1, 2]
+    assert [t.seed for t in splits["train"]] == [0, 1, 2]
     assert m2.dt == pytest.approx(0.02)
     for a, b in zip(splits["train"], trajs["train"]):
         assert np.array_equal(a.frames, b.frames)
     # splits disjoint by seed
-    all_seeds = m2.seeds["train"] + m2.seeds["val"]
+    all_seeds = [t.seed for split in ("train", "val") for t in splits[split]]
     assert len(set(all_seeds)) == len(all_seeds)
 
 
 def test_generate_dataset_splits_disjoint(tmp_path):
-    m = pg.generate_dataset(pg.DIFFUSION_REACTION, GRID,
-                            {"train": 2, "val": 1, "test": 1},
-                            t_steps=4, dt=0.02, seed0=100, out_dir=tmp_path / "g")
-    seeds = [s for split in ("train", "val", "test") for s in m.seeds[split]]
+    pg.generate_dataset(pg.DIFFUSION_REACTION, GRID, {"train": 2, "val": 1, "test": 1},
+                        t_steps=4, dt=0.02, seed0=100, out_dir=tmp_path / "g")
+    _, splits = pg.read_dataset(tmp_path / "g")
+    seeds = [t.seed for split in ("train", "val", "test") for t in splits[split]]
     assert seeds == [100, 101, 102, 103]
 
 

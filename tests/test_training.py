@@ -499,6 +499,56 @@ def test_supervised_set_independent_of_artificial_mask():
         assert np.all(m_aug.grid <= m.grid)
 
 
+def test_mpt_augmentation_that_hides_every_cell_keeps_the_sample_mask(monkeypatch):
+    # the first sample's augmentation comes out empty, the second's does not
+    augment = mk.mpt_augment
+    augmented = []
+
+    def first_empty(m, rate, seed):
+        m_aug, h_hat = augment(m, rate, seed)
+        if not augmented:
+            m_aug = mk.ObservationMask(np.zeros_like(m.grid), m.pattern,
+                                       m.missing_rate, m.patch_size, m.seed)
+        augmented.append(m_aug.grid)
+        return m_aug, h_hat
+
+    forward = md.lano_forward
+    seen = []
+
+    def spy(coords, frames, mask, params):
+        seen.append(np.array(mask))
+        return forward(coords, frames, mask, params)
+
+    monkeypatch.setattr(mk, "mpt_augment", first_empty)
+    monkeypatch.setattr(md, "lano_forward", spy)
+    cfg = tiny_model_cfg(phys_channels=1)
+    params = md.ModelParams(cfg, seed=1)
+    rng = np.random.default_rng(5)
+    frames = rng.normal(size=(2, cfg.history, 8, 8, 1)).astype(np.float32)
+    targets = rng.normal(size=(2, 8, 8, 1)).astype(np.float32)
+    mask_objs = [mk.gen_patchwise_mask(8, 8, 0.5, 2, seed=s) for s in range(2)]
+    loss = tr._train_step(params, tr.TrainState(params), pg.GridGeometry(8, 8).coords(),
+                          frames, targets, mask_objs,
+                          tr.TrainConfig(consistency_weight=0.0),
+                          np.random.default_rng(0), 1e-3)
+    assert np.isfinite(loss)
+    assert len(seen) == 1 and len(augmented) == 2
+    assert np.array_equal(seen[0][0], mask_objs[0].grid)
+    assert np.array_equal(seen[0][1], augmented[1])
+
+
+def test_mpt_training_at_a_high_patch_rate_never_feeds_an_empty_mask(tmp_path):
+    # 4x4 patches at 75 % missing on 16x16: some augmentation in these 20
+    # epochs hides every observed cell of its sample
+    grid = pg.GridGeometry(16, 16)
+    trajs = [pg.solve_navier_stokes(grid, seed=s, t_steps=6, dt=0.2) for s in range(4)]
+    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=4, history=3)
+    res = tr.train_on_splits({"train": trajs}, (16, 16),
+                             tr.MaskSpec(mk.PATCHWISE, 0.75, 4), cfg,
+                             tr.TrainConfig(epochs=20, batch_size=4), tmp_path / "run")
+    assert res.checkpoint_path.exists()
+
+
 def test_single_step_descends_on_frozen_batch():
     rng = np.random.default_rng(5)
     cfg = tiny_model_cfg(phys_channels=1)

@@ -1,5 +1,7 @@
 """Shared oracle helpers for the test suite."""
 
+import json
+
 import numpy as np
 
 from partialpde import tensor as T
@@ -54,8 +56,22 @@ def corrupt_decode_normalization(monkeypatch, offset=0.05):
                         lambda *args: masked_fill(*args) + offset)
 
 
-def replace_config_line(raw, old, new):
-    """A POBW checkpoint's bytes with `old` replaced by `new` in its config text."""
+DROP = object()
+
+
+def edit_config(raw, key, value=DROP):
+    """A POBW checkpoint's bytes with one key of its JSON config set to
+    `value`, or dropped."""
     (cfg_len,) = np.frombuffer(raw, dtype="<u4", count=1, offset=8)
-    text = raw[12:12 + cfg_len].replace(old, new)
+    cfg = json.loads(raw[12:12 + cfg_len])
+    if value is DROP:
+        del cfg[key]
+    else:
+        cfg[key] = value
+    return with_config_text(raw, json.dumps(cfg).encode())
+
+
+def with_config_text(raw, text):
+    """A POBW checkpoint's bytes with its config text replaced by `text`."""
+    (cfg_len,) = np.frombuffer(raw, dtype="<u4", count=1, offset=8)
     return raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + cfg_len:]
