@@ -91,6 +91,10 @@ def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
     if not test_rates:
         raise EvalError("no test rates to evaluate")
     _, h, w, _ = trajs[0].frames.shape
+    for j, traj in enumerate(trajs):
+        if traj.frames.shape[1:3] != (h, w):
+            raise EvalError(f"trajectory {j} is on a {traj.frames.shape[1]}x"
+                            f"{traj.frames.shape[2]} grid, trajectory 0 on {h}x{w}")
     fingerprint = config_fingerprint(params.config)
     rows = []
     for ri, rate in enumerate(test_rates):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -107,14 +108,14 @@ class ModelConfig:
 
 
 def _param_specs(cfg: ModelConfig):
-    """(name, shape, init) triples in checkpoint declaration order."""
+    """Yield (name, shape, init) triples in checkpoint declaration order."""
     c, h, ch, l, k = (cfg.channels, cfg.heads, cfg.head_dim,
                       cfg.latent_tokens, cfg.pconv_kernel)
-    specs = [("embed.w", (cfg.embed_width, c), ("fanin", cfg.embed_width)),
-             ("embed.b", (c,), ("fanin", cfg.embed_width))]
+    yield from [("embed.w", (cfg.embed_width, c), ("fanin", cfg.embed_width)),
+                ("embed.b", (c,), ("fanin", cfg.embed_width))]
     for i in range(cfg.layers):
         p = f"L{i}."
-        specs += [
+        yield from [
             (p + "ln1_g", (c,), ("ones",)),
             (p + "ln1_b", (c,), ("zeros",)),
             (p + "slice_w1", (h, ch, ch), ("fanin", ch)),
@@ -123,21 +124,21 @@ def _param_specs(cfg: ModelConfig):
             (p + "slice_b2", (h, 1, l), ("fanin", ch)),
         ]
         if cfg.boundary_first:
-            specs += [
+            yield from [
                 (p + "pconv_w", (h * l, k, k), ("pconv_avg",)),
                 (p + "pconv_b", (h * l,), ("zeros",)),
             ]
         if cfg.token_mixer == "attention":
-            specs += [(p + n, (h, ch, ch), ("fanin", ch))
-                      for n in ("mix_wq", "mix_wk", "mix_wv")]
+            yield from [(p + n, (h, ch, ch), ("fanin", ch))
+                        for n in ("mix_wq", "mix_wk", "mix_wv")]
         elif cfg.token_mixer == "mlp":
-            specs += [
+            yield from [
                 (p + "mix_w1", (l, l), ("fanin", l)),
                 (p + "mix_b1", (l,), ("fanin", l)),
                 (p + "mix_w2", (l, l), ("fanin", l)),
                 (p + "mix_b2", (l,), ("fanin", l)),
             ]
-        specs += [
+        yield from [
             (p + "merge_w", (c, c), ("zeros",)),   # zero init: layer starts as identity
             (p + "merge_b", (c,), ("zeros",)),
             (p + "ln2_g", (c,), ("ones",)),
@@ -147,9 +148,8 @@ def _param_specs(cfg: ModelConfig):
             (p + "mlp_w2", (cfg.mlp_hidden, c), ("fanin", cfg.mlp_hidden)),
             (p + "mlp_b2", (c,), ("fanin", cfg.mlp_hidden)),
         ]
-    specs += [("out.w", (c, cfg.phys_channels), ("fanin", c)),
-              ("out.b", (cfg.phys_channels,), ("fanin", c))]
-    return specs
+    yield from [("out.w", (c, cfg.phys_channels), ("fanin", c)),
+                ("out.b", (cfg.phys_channels,), ("fanin", c))]
 
 
 class ModelParams:
@@ -485,26 +485,27 @@ def load_checkpoint(path) -> ModelParams:
         cfg = config_from_text(raw[12:off].decode("utf-8"))
     except (ValueError, TypeError) as e:     # bad JSON or value, unknown key
         raise CheckpointError(f"{path}: bad config: {e}") from None
+    # the bytes the config's tensors take, counted before any is allocated:
+    # a config naming more than the file holds must not reach ModelParams
+    need = 0
+    for name, shape, _ in _param_specs(cfg):
+        need += 1 + 4 * len(shape) + 4 * math.prod(shape)
+        if off + need > len(raw):
+            raise CheckpointError(f"{path}: truncated before the end of {name}")
     params = ModelParams(cfg, seed=0)
-    for name, _, _ in _param_specs(cfg):
-        if off >= len(raw):
-            raise CheckpointError(f"{path}: truncated before {name}")
+    for name, want, _ in _param_specs(cfg):
         ndim = raw[off]
         if off + 1 + 4 * ndim > len(raw):
             raise CheckpointError(f"{path}: truncated shape of {name}")
         shape = struct.unpack_from(f"<{ndim}I", raw, off + 1)
         off += 1 + 4 * ndim
-        want = params[name].shape
-        if tuple(shape) != tuple(want):
+        if shape != want:
             raise CheckpointError(
                 f"{path}: {name} has shape {shape}, expected {want}")
-        count = int(np.prod(shape)) if ndim else 1
-        end = off + 4 * count
-        if end > len(raw):
-            raise CheckpointError(f"{path}: truncated tensor data for {name}")
+        count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
         params[name].data = arr.reshape(shape).astype(np.float32)
-        off = end
+        off += 4 * count
     if off != len(raw):
         raise CheckpointError(
             f"{path}: {len(raw) - off} trailing bytes after the last tensor")

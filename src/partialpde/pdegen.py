@@ -16,6 +16,7 @@ on-disk precision.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -355,8 +356,11 @@ def read_manifest(path) -> DatasetManifest:
     except (ValueError, TypeError) as e:     # not JSON or not an object, bad keys
         raise DataFormatError(f"{path}: bad manifest: {e}") from None
     valid = {
+        "pde_kind": m.pde_kind in (NAVIER_STOKES, DIFFUSION_REACTION),
         "h": _is_int(m.h), "w": _is_int(m.w), "channels": _is_int(m.channels),
-        "t_all": _is_int(m.t_all), "dt": _is_int(m.dt) or isinstance(m.dt, float),
+        "t_all": _is_int(m.t_all),
+        "dt": (_is_int(m.dt) or isinstance(m.dt, float))
+        and math.isfinite(m.dt) and m.dt > 0,
         "files": isinstance(m.files, dict) and all(
             isinstance(names, list) and all(isinstance(n, str) for n in names)
             for names in m.files.values()),
@@ -395,10 +399,10 @@ def read_dataset(path):
     for split, names in m.files.items():
         splits[split] = [read_trajectory(base / n, dt=m.dt) for n in names]
         for n, traj in zip(names, splits[split]):
-            if traj.frames.shape != want:
+            if traj.frames.shape != want or traj.pde_kind != m.pde_kind:
                 raise DataFormatError(
-                    f"{base / n}: frames {traj.frames.shape} disagree with the "
-                    f"manifest's (T, H, W, C) {want}")
+                    f"{base / n}: {traj.pde_kind} frames {traj.frames.shape} "
+                    f"disagree with the manifest's {m.pde_kind} (T, H, W, C) {want}")
     return m, splits
 
 
@@ -410,6 +414,9 @@ def generate_dataset(pde_kind: str, grid: GridGeometry, counts: dict,
     solver = {NAVIER_STOKES: solve_navier_stokes,
               DIFFUSION_REACTION: solve_diffusion_reaction}[pde_kind]
     splits = ("train", "val", "test")
+    unknown = [k for k in counts if k not in splits]
+    if unknown:
+        raise ValueError(f"unknown split name(s) {unknown}; the splits are {splits}")
     sizes = [counts.get(split, 0) for split in splits]
     if min(sizes) < 0:
         raise ValueError(f"trajectory counts must be >= 0, got {counts}")

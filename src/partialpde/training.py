@@ -212,6 +212,12 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
     val = splits.get("val") or []      # never the test split
     if not train:
         raise ValueError("empty training split")
+    for split, trajs in (("train", train), ("val", val)):
+        for j, traj in enumerate(trajs):
+            h, w = traj.frames.shape[1:3]
+            if (h, w) != (gh, gw):
+                raise ValueError(f"{split} trajectory {j} is on a {h}x{w} grid, "
+                                 f"grid_hw is {gh}x{gw}")
 
     history = model_cfg.history
     t_all = train[0].t_all

@@ -62,7 +62,7 @@ def check_matmul_triple_loop():
             for t in range(4):
                 want[i, j] += a[i, t] * b[t, j]
     err = np.abs(got - want).max()
-    return err < 1e-10, f"max abs err {err:.2e}"
+    return got.shape == want.shape and err < 1e-10, f"max abs err {err:.2e}"
 
 
 def check_mlp_gradient_fd():
@@ -83,9 +83,8 @@ def check_mlp_gradient_fd():
     for w in ws:
         def f():
             return float(forward().data)
-        idxs = range(min(6, w.size))
-        fd = _fd_grad(f, w.data, idxs)
-        an = grads[w].reshape(-1)[list(idxs)]
+        fd = _fd_grad(f, w.data, range(w.size))
+        an = grads[w].reshape(-1)
         scale = max(np.abs(fd).max(), np.abs(an).max(), 1e-8)
         worst = max(worst, np.abs(fd - an).max() / scale)
     return worst < 1e-6, f"max rel err {worst:.2e}"
@@ -144,12 +143,14 @@ def check_dr_scalar_ode():
     substeps = max(1, int(np.ceil(dt / dt_stable)))
     sub = dt / substeps
     u, v = 0.4, -0.2
-    worst = 0.0
+    worst = spread = 0.0
     for t in range(1, steps):
         for _ in range(substeps):
             u, v = (u + sub * (u - u ** 3 - pg.DR_OFFSET_K - v), v + sub * (u - v))
-        worst = max(worst, np.abs(traj.frames[t, ..., 0] - u).max())
-    return worst < 1e-6, f"max dev from 0-D integrator {worst:.2e}"
+        worst = max(worst, np.abs(traj.frames[t] - [u, v]).max())
+        spread = max(spread, np.ptp(traj.frames[t], axis=(0, 1)).max())
+    return (worst < 1e-6 and spread < 1e-12,
+            f"max dev from 0-D integrator {worst:.2e}, spatial spread {spread:.2e}")
 
 
 def check_ns_energy_neutral_advection():
@@ -195,6 +196,7 @@ def check_patch_counting():
     m4 = mk.gen_patchwise_mask(64, 64, 0.25, 4, seed=0)
     m8 = mk.gen_patchwise_mask(64, 64, 0.25, 8, seed=0)
     ok = int((m4.grid == 0).sum()) == 1024 and \
+        int((m4.grid.reshape(16, 4, 16, 4).min(axis=(1, 3)) == 0).sum()) == 64 and \
         int((m8.grid.reshape(8, 8, 8, 8).min(axis=(1, 3)) == 0).sum()) == 16
     return ok, "64/256 and 16/64 blocks masked"
 
@@ -358,7 +360,9 @@ def check_kernel_identity_self_update():
     layer_out = branch.data[0] + y
     obs = mask == 1.0
     dev = np.abs(layer_out[obs] - (res.integral + res.identity)[obs]).max()
-    return dev < 1e-12, f"self-update dev {dev:.2e}"
+    integral = np.abs(res.integral).max()
+    ok = dev < 1e-12 and integral < 1e-12 and np.all(res.identity[~obs] == 0.0)
+    return ok, f"self-update dev {dev:.2e}, max |integral| {integral:.2e}"
 
 
 def check_mask_coverage_dilation():
@@ -461,11 +465,15 @@ def check_adam_first_step():
 
 def check_one_cycle_endpoints():
     cfg = tr.TrainConfig(learning_rate=1e-3)
+    t_peak = int(round(0.3 * 499))
     a = tr.one_cycle_lr(0, 500, cfg)
-    b = tr.one_cycle_lr(int(round(0.3 * 499)), 500, cfg)
+    b = tr.one_cycle_lr(t_peak, 500, cfg)
     c = tr.one_cycle_lr(499, 500, cfg)
     ok = (abs(a - 4e-5) < 1e-12 and abs(b - 1e-3) < 1e-12
           and abs(c - 1e-7) < 1e-12)
+    # continuous at the peak: one step either side stays within 10 %
+    ok &= all(abs(tr.one_cycle_lr(t, 500, cfg) - 1e-3) < 1e-4
+              for t in (t_peak - 1, t_peak + 1))
     return ok, f"lr endpoints {a:.2e}/{b:.2e}/{c:.2e}"
 
 

@@ -51,6 +51,16 @@ def test_evaluate_runs_one_forward_per_trajectory_and_rate(monkeypatch):
         assert row["config_fingerprint"] == ev.config_fingerprint(cfg)
 
 
+def test_evaluate_rejects_trajectories_on_different_grids():
+    # the masks are laid on the first trajectory's grid
+    trajs = [pg.solve_navier_stokes(pg.GridGeometry(*hw), seed=0, t_steps=3, dt=0.05)
+             for hw in ((16, 32), (32, 16))]
+    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2, history=2)
+    with pytest.raises(ev.EvalError, match="trajectory 1 is on a 32x16 grid, "
+                                           "trajectory 0 on 16x32"):
+        ev.evaluate(md.ModelParams(cfg, seed=0), trajs, mk.POINTWISE, [0.25])
+
+
 def test_importing_the_cli_leaves_interpolation_modules_unloaded():
     src = Path(partialpde.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "

@@ -11,33 +11,11 @@ def test_rate_zero_pointwise_all_ones():
     assert np.all(m.grid == 1)
 
 
-def test_pointwise_monte_carlo_rate():
-    # 10000 seeds at rate 0.25 -> observed fraction 0.75 +/- 0.01
-    fracs = np.empty(10000)
-    for s in range(10000):
-        fracs[s] = mk.gen_pointwise_mask(64, 64, 0.25, seed=s).observed_fraction()
-    assert abs(fracs.mean() - 0.75) < 0.01
-
-
 def test_pointwise_rate_one_rejected():
     with pytest.raises(mk.MaskError):
         mk.gen_pointwise_mask(8, 8, 1.0, seed=0)
     with pytest.raises(mk.MaskError):
         mk.gen_pointwise_mask(8, 8, 0.9999999 + 1e-7, seed=0)
-
-
-def test_patchwise_counts_64x64_patch4():
-    m = mk.gen_patchwise_mask(64, 64, 0.25, 4, seed=3)
-    # 256 blocks, 64 masked, 1024 zero cells
-    assert int((m.grid == 0).sum()) == 64 * 16
-    zeros_by_block = (m.grid.reshape(16, 4, 16, 4).min(axis=(1, 3)) == 0)
-    assert int(zeros_by_block.sum()) == 64
-
-
-def test_patchwise_counts_64x64_patch8():
-    m = mk.gen_patchwise_mask(64, 64, 0.25, 8, seed=3)
-    blocks = m.grid.reshape(8, 8, 8, 8).min(axis=(1, 3))
-    assert int((blocks == 0).sum()) == 16
 
 
 def test_patchwise_rate_zero_all_ones():

@@ -28,48 +28,12 @@ def test_dr_zero_initial_zero_offset_stays_zero(monkeypatch):
     assert np.all(traj.frames == 0.0)
 
 
-def test_dr_constant_field_matches_scalar_ode():
-    # diffusion of a constant is exactly zero; remaining dynamics are the
-    # 0-D reaction ODE integrated with the same Euler substeps
-    u0, v0 = 0.3, -0.1
-    init = np.empty((32, 32, 2))
-    init[..., 0], init[..., 1] = u0, v0
-    dt, steps = 0.01, 6
-    traj = pg.solve_diffusion_reaction(GRID, seed=0, t_steps=steps, dt=dt,
-                                       initial=init)
-
-    # scalar oracle with identical substepping
-    h_sq = (1.0 / 32) ** 2
-    substeps = max(1, int(np.ceil(dt / (h_sq / (4 * 5e-3)))))
-    sub = dt / substeps
-    u, v = u0, v0
-    for t in range(1, steps):
-        for _ in range(substeps):
-            du = u - u ** 3 - 5e-3 - v
-            dv = u - v
-            u, v = u + sub * du, v + sub * dv
-        frame = traj.frames[t].astype(np.float64)
-        assert np.abs(frame[..., 0] - u).max() < 1e-6
-        assert np.abs(frame[..., 1] - v).max() < 1e-6
-        assert frame[..., 0].std() < 1e-12  # stays spatially constant
-
-
 def test_dr_default_run_is_stable():
     traj = pg.solve_diffusion_reaction(pg.GridGeometry(64, 64), seed=0,
                                        t_steps=20, dt=0.05)
     assert np.all(np.isfinite(traj.frames))
     energy = float((traj.frames[..., 0].astype(np.float64) ** 2).sum())
     assert np.isfinite(energy)
-
-
-def test_dr_reaction_disabled_conserves_mean():
-    traj = pg.solve_diffusion_reaction(GRID, seed=3, t_steps=8, dt=0.02,
-                                       reaction=False, dtype=np.float64)
-    f = traj.frames
-    means = f.mean(axis=(1, 2))
-    for c in range(2):
-        drift = np.abs(np.diff(means[:, c]))
-        assert drift.max() < 1e-10
 
 
 def test_dr_divergence_reports_step():
@@ -108,70 +72,6 @@ def test_ns_zero_everything_stays_zero():
     traj = pg.solve_navier_stokes(GRID, seed=0, t_steps=5, dt=0.05,
                                   forcing_amplitude=0.0, initial_vorticity=init)
     assert np.all(traj.frames == 0.0)
-
-
-def test_ns_single_mode_viscous_decay():
-    # one Fourier mode, no forcing, advection off: omega decays as
-    # exp(-nu |k|^2 t); Crank-Nicolson at this dt sits well inside 1e-6/step
-    nu = 1e-3
-    xs = np.arange(32) / 32.0
-    omega0 = np.cos(2 * np.pi * xs)[None, :] * np.ones((32, 1))
-    traj = pg.solve_navier_stokes(GRID, seed=0, t_steps=10, dt=0.05, viscosity=nu,
-                                  forcing_amplitude=0.0, advection=False,
-                                  substeps=1, initial_vorticity=omega0,
-                                  dtype=np.float64)
-    k_sq = (2 * np.pi) ** 2
-    f = traj.frames[..., 0]
-    for t in range(1, 10):
-        expected = omega0 * np.exp(-nu * k_sq * t * 0.05)
-        assert np.abs(f[t] - expected).max() < 1e-6, t
-
-
-def test_ns_mean_vorticity_conserved():
-    traj = pg.solve_navier_stokes(GRID, seed=5, t_steps=10, dt=0.05,
-                                  dtype=np.float64)
-    f = traj.frames[..., 0]
-    means = f.mean(axis=(1, 2))
-    assert np.abs(np.diff(means)).max() < 1e-10
-
-
-def test_ns_advection_energy_neutral():
-    # viscosity ~0 and forcing off: explicit advection step drifts kinetic
-    # energy by O(dt^2), below 1e-6 relative at this dt
-    rng_field = pg._band_limited_noise(32, 32, seed=9, k_cut=4, amplitude=1.0)[..., 0]
-    traj = pg.solve_navier_stokes(GRID, seed=9, t_steps=6, dt=1e-4,
-                                  viscosity=1e-12, forcing_amplitude=0.0,
-                                  substeps=1, initial_vorticity=rng_field,
-                                  dtype=np.float64)
-    f = traj.frames[..., 0]
-    energies = np.array([pg.kinetic_energy(f[t]) for t in range(6)])
-    rel_drift = np.abs(np.diff(energies)) / energies[0]
-    assert rel_drift.max() < 1e-6
-
-
-def test_ns_advection_matches_its_closed_form():
-    # omega0 = cos 2 pi x + cos 4 pi y: psi = cos 2 pi x / (2 pi)^2 +
-    # cos 4 pi y / (4 pi)^2, u = dpsi/dy = -sin 4 pi y / (4 pi),
-    # v = -dpsi/dx = sin 2 pi x / (2 pi), so -(u omega_x + v omega_y) =
-    # 1.5 sin 2 pi x sin 4 pi y; a flipped sign or a swapped component fails
-    xy = GRID.coords()
-    x, y = xy[..., 0], xy[..., 1]
-    dt = 1e-3
-    traj = pg.solve_navier_stokes(GRID, seed=0, t_steps=2, dt=dt, viscosity=1e-12,
-                                  forcing_amplitude=0.0, substeps=1,
-                                  initial_vorticity=np.cos(2 * np.pi * x)
-                                  + np.cos(4 * np.pi * y), dtype=np.float64)
-    rate = (traj.frames[1, ..., 0] - traj.frames[0, ..., 0]) / dt
-    assert np.abs(rate - 1.5 * np.sin(2 * np.pi * x) * np.sin(4 * np.pi * y)).max() < 1e-8
-
-
-def test_ns_forcing_only_step_adds_dt_times_the_forcing():
-    dt = 1e-3
-    traj = pg.solve_navier_stokes(GRID, seed=0, t_steps=2, dt=dt, viscosity=1e-12,
-                                  advection=False, substeps=1,
-                                  initial_vorticity=np.zeros((32, 32)),
-                                  dtype=np.float64)
-    assert np.abs(traj.frames[1, ..., 0] / dt - pg.default_forcing(GRID)).max() < 1e-8
 
 
 def complex_fft_reference(grid, seed, t_steps, dt, viscosity=1e-3,
@@ -382,6 +282,21 @@ def test_dataset_frames_disagreeing_with_manifest_are_rejected(tmp_path):
         pg.read_dataset(manifest.parent)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("pde_kind", pg.NAVIER_STOKES,
+     r"traj_train_00000.pobd: diffusion_reaction frames .* manifest's navier_stokes"),
+    ("pde_kind", "banana", "bad manifest value of pde_kind$"),
+    ("dt", float("nan"), "bad manifest value of dt$"),
+    ("dt", -1, "bad manifest value of dt$"),
+    ("dt", 0, "bad manifest value of dt$"),
+], ids=["kind-other-than-the-files", "kind-unknown", "dt-nan", "dt-negative", "dt-zero"])
+def test_dataset_whose_manifest_misdescribes_it_is_format_error(tmp_path, key, value, match):
+    manifest = write_small_dataset(tmp_path)
+    edit_manifest(manifest, key, value)
+    with pytest.raises(pg.DataFormatError, match=match):
+        pg.read_dataset(manifest.parent)
+
+
 def test_dataset_round_trip_and_manifest(tmp_path):
     trajs = {
         "train": [pg.solve_diffusion_reaction(GRID, seed=s, t_steps=4, dt=0.02)
@@ -414,6 +329,7 @@ def test_generate_dataset_splits_disjoint(tmp_path):
     (65536, 0, {"train": 1}, "T_all=65536"),
     (3, 2 ** 64 - 1, {"train": 1, "test": 1}, "seed=18446744073709551616"),
     (3, 0, {"train": -1, "val": 2}, "counts"),
+    (3, 0, {"train": 1, "tset": 1}, "unknown split name.*'tset'"),
 ])
 def test_generate_dataset_checks_its_arguments_before_solving(
         tmp_path, monkeypatch, t_steps, seed0, counts, match):

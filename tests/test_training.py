@@ -118,15 +118,6 @@ def test_adamw_zero_gradient_no_decay_keeps_parameters():
     assert np.array_equal(state.params[name].data, before)
 
 
-def test_adamw_first_step_closed_form():
-    state, name = tiny_state(0.0)
-    cfg = tr.TrainConfig(weight_decay=0.0)
-    g = np.full(state.params[name].shape, 0.7, dtype=np.float64)
-    tr.adamw_step(state, {name: g}, lr=0.01, cfg=cfg)
-    want = -0.01 * 0.7 / (abs(0.7) + tr.ADAM_EPS)
-    assert np.allclose(state.params[name].data, want, rtol=1e-6)
-
-
 def test_adamw_decoupled_decay_only():
     state, name = tiny_state(2.0)
     cfg = tr.TrainConfig(weight_decay=0.01)
@@ -140,19 +131,6 @@ def test_adamw_nan_gradient_names_group():
     bad = np.full(state.params[name].shape, np.nan)
     with pytest.raises(tr.TrainingDiverged, match=name):
         tr.adamw_step(state, {name: bad}, lr=0.1, cfg=tr.TrainConfig())
-
-
-def test_one_cycle_endpoints():
-    cfg = tr.TrainConfig(learning_rate=1e-3)
-    total = 1000
-    assert tr.one_cycle_lr(0, total, cfg) == pytest.approx(1e-3 / 25)
-    t_peak = int(round(0.3 * (total - 1)))
-    assert tr.one_cycle_lr(t_peak, total, cfg) == pytest.approx(1e-3)
-    assert tr.one_cycle_lr(total - 1, total, cfg) == pytest.approx(1e-3 / 1e4)
-    # continuity around the peak
-    a = tr.one_cycle_lr(t_peak - 1, total, cfg)
-    b = tr.one_cycle_lr(t_peak + 1, total, cfg)
-    assert abs(a - 1e-3) < 1e-4 and abs(b - 1e-3) < 1e-4
 
 
 def test_one_cycle_lr_is_a_python_float():
@@ -262,6 +240,22 @@ def tiny_model_cfg(**kw):
                 phys_channels=2, mlp_ratio=1.0)
     base.update(kw)
     return md.ModelConfig(**base)
+
+
+@pytest.mark.parametrize("grid_hw", [(32, 16), (8, 64)])
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_on_splits_rejects_a_trajectory_on_another_grid(tmp_path, split, grid_hw):
+    # both grids hold the 512 points of a 16x32 frame, so masks and
+    # coordinates laid on them would reshape to the frames without an error
+    def traj(hw):
+        return pg.solve_navier_stokes(pg.GridGeometry(*hw), seed=0, t_steps=4, dt=0.05)
+
+    splits = {"train": [traj(grid_hw)], "val": [traj(grid_hw)]}
+    splits[split] = [traj((16, 32))]
+    with pytest.raises(ValueError, match=f"{split} trajectory 0 is on a 16x32 grid"):
+        tr.train_on_splits(splits, grid_hw, tr.MaskSpec(mk.PATCHWISE, 0.25, 4),
+                           tiny_model_cfg(phys_channels=1),
+                           tr.TrainConfig(epochs=1, batch_size=4), tmp_path / "run")
 
 
 def test_train_runs_and_writes_artifacts(tmp_path):
@@ -547,30 +541,6 @@ def test_mpt_training_at_a_high_patch_rate_never_feeds_an_empty_mask(tmp_path):
                              tr.MaskSpec(mk.PATCHWISE, 0.75, 4), cfg,
                              tr.TrainConfig(epochs=20, batch_size=4), tmp_path / "run")
     assert res.checkpoint_path.exists()
-
-
-def test_single_step_descends_on_frozen_batch():
-    rng = np.random.default_rng(5)
-    cfg = tiny_model_cfg(phys_channels=1)
-    params = md.ModelParams(cfg, seed=1)
-    state = tr.TrainState(params)
-    coords = pg.GridGeometry(8, 8).coords()
-    frames = rng.normal(size=(4, cfg.history, 8, 8, 1)).astype(np.float32)
-    targets = rng.normal(size=(4, 8, 8, 1)).astype(np.float32)
-    masks = np.ones((4, 8, 8), dtype=np.float32)
-
-    def loss_value():
-        pred = md.lano_forward(coords, frames, masks, params)
-        return float(tr.masked_one_step_loss(pred, targets, masks).data)
-
-    before = loss_value()
-    with T.tape():
-        pred = md.lano_forward(coords, frames, masks, params)
-        grads_t = T.backward(tr.masked_one_step_loss(pred, targets, masks))
-    grads = {name: grads_t[t] for name, t in params.items() if t in grads_t}
-    tr.adamw_step(state, grads, lr=1e-6, cfg=tr.TrainConfig(weight_decay=0.0))
-    after = loss_value()
-    assert after < before
 
 
 def test_train_rejects_short_trajectories():

@@ -1,3 +1,7 @@
+import csv
+
+import pytest
+
 from partialpde import model as md
 from partialpde import pdegen as pg
 from partialpde import tensor as T
@@ -6,29 +10,53 @@ from partialpde import verify as vf
 from util import corrupt_decode_normalization
 
 
-def test_run_suite_passes_and_leaves_no_tape_nodes(tmp_path):
-    ok, results = vf.run_suite(tmp_dir=str(tmp_path))
+def forbidden(*args, **kw):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("fn", [fn for _, _, fn in vf.CHECKS],
+                         ids=[name for name, _, _ in vf.CHECKS])
+def test_check(fn, tmp_path, monkeypatch):
+    # every check builds its models in the dtype it needs, convolves in
+    # plain numpy, and leaves no tape nodes behind or a tape open
+    monkeypatch.setattr(T, "precision", forbidden)
+    monkeypatch.setattr(T, "depthwise_conv2d", forbidden)
+    ok, detail = fn(str(tmp_path)) if fn is vf.check_round_trips else fn()
+    assert ok, detail
     assert len(T.active_tape()) == 0 and not T.active_tape().recording
-    assert ok, [r for r in results if not r.ok]
-    assert len(results) == 24
 
 
-def test_each_check_leaves_the_tape_as_it_found_it(tmp_path):
-    # per check, not only after the suite: no check leaves nodes behind or
-    # a tape open
-    for name, _, fn in vf.CHECKS:
-        if fn is vf.check_round_trips:
-            fn(str(tmp_path))
-        else:
-            fn()
-        assert len(T.active_tape()) == 0 and not T.active_tape().recording, name
+def test_checks_are_24_with_unique_names():
+    names = [name for name, _, _ in vf.CHECKS]
+    assert len(names) == 24 and len(set(names)) == 24
 
 
-def test_run_suite_catches_corrupted_decode_normalization(tmp_path, monkeypatch):
-    corrupt_decode_normalization(monkeypatch)
-    ok, results = vf.run_suite(tmp_dir=str(tmp_path))
+def test_run_suite_reports_each_check_and_survives_an_exception(tmp_path, monkeypatch):
+    def raises():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(vf, "CHECKS", [
+        ("passes", "a", lambda: (True, "fine")),
+        ("fails", "a", lambda: (False, "off by 1")),
+        ("raises", "b", raises)])
+    out = tmp_path / "verify.csv"
+    ok, results = vf.run_suite(out_csv=str(out), tmp_dir=str(tmp_path))
     assert not ok
-    assert not {r.name: r.ok for r in results}["kernel_oracle"]
+    assert [(r.name, r.group, r.ok, r.detail) for r in results] == [
+        ("passes", "a", True, "fine"),
+        ("fails", "a", False, "off by 1"),
+        ("raises", "b", False, "exception: RuntimeError('boom')")]
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["check"], r["group"], r["passed"], r["detail"]) for r in rows] == [
+        (r.name, r.group, str(int(r.ok)), r.detail) for r in results]
+    assert all(float(r["seconds"]) >= 0.0 for r in rows)
+
+
+def test_kernel_oracle_check_catches_a_corrupted_decode_normalization(monkeypatch):
+    corrupt_decode_normalization(monkeypatch)
+    ok, detail = vf.check_kernel_oracle()
+    assert not ok, detail
 
 
 def test_kernel_oracle_check_catches_a_skipped_token_mixer(monkeypatch):
@@ -68,16 +96,3 @@ def test_advection_oracle_catches_a_flipped_advection_sign(monkeypatch):
     assert not ok, detail
     assert vf.check_ns_energy_neutral_advection()[0]
     assert vf.check_ns_mean_conservation()[0]
-
-
-def test_run_suite_needs_neither_the_precision_switch_nor_the_depthwise_conv(
-        tmp_path, monkeypatch):
-    # every check builds its models in the dtype it needs, and the oracles
-    # convolve in plain numpy
-    def forbidden(*args, **kw):
-        raise AssertionError("called")
-
-    monkeypatch.setattr(T, "precision", forbidden)
-    monkeypatch.setattr(T, "depthwise_conv2d", forbidden)
-    ok, results = vf.run_suite(tmp_dir=str(tmp_path))
-    assert ok, [r for r in results if not r.ok]

@@ -35,20 +35,6 @@ def rel_err(a, b, floor=1e-12):
     return np.abs(a - b).max(initial=0.0) / denom
 
 
-def matmul_triple_loop(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=np.float64)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += float(a[i, t]) * float(b[t, j])
-            out[i, j] = acc
-    return out
-
-
 def corrupt_decode_normalization(monkeypatch, offset=0.05):
     """Fault the decode: every row sum it divides by is off by `offset`."""
     masked_fill = T.masked_fill
