@@ -18,6 +18,20 @@ def test_pointwise_rate_one_rejected():
         mk.gen_pointwise_mask(8, 8, 0.9999999 + 1e-7, seed=0)
 
 
+def test_patchwise_counts_64x64_patch4():
+    m = mk.gen_patchwise_mask(64, 64, 0.25, 4, seed=3)
+    # 256 blocks, 64 masked, 1024 zero cells
+    assert int((m.grid == 0).sum()) == 64 * 16
+    zeros_by_block = (m.grid.reshape(16, 4, 16, 4).min(axis=(1, 3)) == 0)
+    assert int(zeros_by_block.sum()) == 64
+
+
+def test_patchwise_counts_64x64_patch8():
+    m = mk.gen_patchwise_mask(64, 64, 0.25, 8, seed=3)
+    blocks = m.grid.reshape(8, 8, 8, 8).min(axis=(1, 3))
+    assert int((blocks == 0).sum()) == 16
+
+
 def test_patchwise_rate_zero_all_ones():
     m = mk.gen_patchwise_mask(32, 32, 0.0, 4, seed=1)
     assert np.all(m.grid == 1)

@@ -11,7 +11,7 @@ from partialpde import tensor as T
 from partialpde import verify as vf
 from partialpde.tensor import Tensor
 
-from util import edit_config, with_config_text
+from util import corrupt_decode_normalization, edit_config, with_config_text
 
 
 def small_config(**kw):
@@ -540,7 +540,7 @@ def test_forward_softmaxes_token_major_maps_and_contracts_once_per_layer(monkeyp
 
 # -- kernel oracle -------------------------------------------------------------------
 
-def oracle_instance(cfg, gh, gw, seed, missing=0.4):
+def oracle_instance(cfg, gh, gw, seed, missing=0.4, pattern="point"):
     params = md.ModelParams(cfg, seed=seed, dtype=np.float64)
     # make the branch non-trivial: the merge projection is zero at init
     rng = np.random.default_rng(seed + 1)
@@ -550,16 +550,44 @@ def oracle_instance(cfg, gh, gw, seed, missing=0.4):
         params[f"L{i}.merge_b"].data = rng.normal(size=cfg.channels) * 0.1
     n = gh * gw
     y = rng.normal(size=(n, cfg.channels))
-    mask = mk.gen_pointwise_mask(gh, gw, missing, seed=seed + 2) \
-        .grid.reshape(n).astype(np.float64)
-    if mask.sum() == 0:
-        mask[0] = 1.0
+    if pattern == "full":
+        mask = np.ones(n)
+    else:
+        mask = mk.gen_pointwise_mask(gh, gw, missing, seed=seed + 2) \
+            .grid.reshape(n).astype(np.float64)
+        if mask.sum() == 0:
+            mask[0] = 1.0
     return params, y, mask
 
 
 def phlp_branch_output(params, y, mask, gh, gw):
     branch, _ = md.phlp_branch(Tensor(y[None]), mask[None], params, 0, gh, gw)
     return branch.data[0]
+
+
+def test_kernel_oracle_matches_branch_full_mask():
+    cfg = small_config(token_mixer="none")
+    params, y, mask = oracle_instance(cfg, 6, 6, seed=20, pattern="full")
+    res = vf.kernel_oracle(params, 0, mask, y, 6, 6)
+    got = phlp_branch_output(params, y, mask, 6, 6)
+    assert np.abs(res.integral - got).max() < 1e-6
+
+
+def test_kernel_oracle_matches_branch_partial_mask():
+    for seed in range(5):
+        cfg = small_config(token_mixer="none")
+        params, y, mask = oracle_instance(cfg, 8, 8, seed=30 + seed)
+        res = vf.kernel_oracle(params, 0, mask, y, 8, 8)
+        got = phlp_branch_output(params, y, mask, 8, 8)
+        assert np.abs(res.integral - got).max() < 1e-6, seed
+
+
+def test_kernel_oracle_with_attention_mixer():
+    cfg = small_config(token_mixer="attention")
+    params, y, mask = oracle_instance(cfg, 6, 6, seed=40)
+    res = vf.kernel_oracle(params, 0, mask, y, 6, 6)
+    got = phlp_branch_output(params, y, mask, 6, 6)
+    assert np.abs(res.integral - got).max() < 1e-6
 
 
 @pytest.mark.parametrize("mixer, boundary_first, sign_mixed", [
@@ -598,6 +626,23 @@ def test_kernel_oracle_rejects_large_instances():
     with pytest.raises(vf.OracleSizeError):
         vf.kernel_oracle(params, 0, np.ones(17 * 17), np.zeros((17 * 17, 16)),
                          17, 17)
+
+
+def test_corrupted_decode_normalization_breaks_oracle(monkeypatch):
+    cfg = small_config(token_mixer="none")
+    params, y, mask = oracle_instance(cfg, 6, 6, seed=70)
+    res = vf.kernel_oracle(params, 0, mask, y, 6, 6)
+    corrupt_decode_normalization(monkeypatch)
+    got = phlp_branch_output(params, y, mask, 6, 6)
+    assert np.abs(res.integral - got).max() > 1e-6
+
+
+def test_full_mask_single_layer_matches_oracle_through_layer_api():
+    cfg = small_config(layers=1, token_mixer="none")
+    params, y, mask = oracle_instance(cfg, 6, 6, seed=80, pattern="full")
+    res = vf.kernel_oracle(params, 0, mask, y, 6, 6)
+    got = phlp_branch_output(params, y, mask, 6, 6)
+    assert np.abs(res.integral - got).max() < 1e-6
 
 
 # -- checkpoints ------------------------------------------------------------------------

@@ -74,6 +74,31 @@ def test_ns_zero_everything_stays_zero():
     assert np.all(traj.frames == 0.0)
 
 
+def test_ns_advection_matches_its_closed_form():
+    # omega0 = cos 2 pi x + cos 4 pi y: psi = cos 2 pi x / (2 pi)^2 +
+    # cos 4 pi y / (4 pi)^2, u = dpsi/dy = -sin 4 pi y / (4 pi),
+    # v = -dpsi/dx = sin 2 pi x / (2 pi), so -(u omega_x + v omega_y) =
+    # 1.5 sin 2 pi x sin 4 pi y; a flipped sign or a swapped component fails
+    xy = GRID.coords()
+    x, y = xy[..., 0], xy[..., 1]
+    dt = 1e-3
+    traj = pg.solve_navier_stokes(GRID, seed=0, t_steps=2, dt=dt, viscosity=1e-12,
+                                  forcing_amplitude=0.0, substeps=1,
+                                  initial_vorticity=np.cos(2 * np.pi * x)
+                                  + np.cos(4 * np.pi * y), dtype=np.float64)
+    rate = (traj.frames[1, ..., 0] - traj.frames[0, ..., 0]) / dt
+    assert np.abs(rate - 1.5 * np.sin(2 * np.pi * x) * np.sin(4 * np.pi * y)).max() < 1e-8
+
+
+def test_ns_forcing_only_step_adds_dt_times_the_forcing():
+    dt = 1e-3
+    traj = pg.solve_navier_stokes(GRID, seed=0, t_steps=2, dt=dt, viscosity=1e-12,
+                                  advection=False, substeps=1,
+                                  initial_vorticity=np.zeros((32, 32)),
+                                  dtype=np.float64)
+    assert np.abs(traj.frames[1, ..., 0] / dt - pg.default_forcing(GRID)).max() < 1e-8
+
+
 def complex_fft_reference(grid, seed, t_steps, dt, viscosity=1e-3,
                           forcing_amplitude=0.1):
     """The solver's float64 frames computed on full complex spectra, with

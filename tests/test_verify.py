@@ -53,10 +53,11 @@ def test_run_suite_reports_each_check_and_survives_an_exception(tmp_path, monkey
     assert all(float(r["seconds"]) >= 0.0 for r in rows)
 
 
-def test_kernel_oracle_check_catches_a_corrupted_decode_normalization(monkeypatch):
+def test_run_suite_catches_corrupted_decode_normalization(tmp_path, monkeypatch):
     corrupt_decode_normalization(monkeypatch)
-    ok, detail = vf.check_kernel_oracle()
-    assert not ok, detail
+    ok, results = vf.run_suite(tmp_dir=str(tmp_path))
+    assert not ok
+    assert not {r.name: r.ok for r in results}["kernel_oracle"]
 
 
 def test_kernel_oracle_check_catches_a_skipped_token_mixer(monkeypatch):
