@@ -187,14 +187,18 @@ class ModelParams:
     def count(self) -> int:
         return sum(t.size for t in self._params.values())
 
+    @staticmethod
+    def _from_arrays(config: ModelConfig, arrays) -> "ModelParams":
+        """Wrap (name, array) pairs without drawing an init."""
+        params = ModelParams.__new__(ModelParams)
+        params.config = config
+        params._params = {name: Tensor(arr, requires_grad=True)
+                          for name, arr in arrays}
+        return params
+
     def astype(self, dtype) -> "ModelParams":
-        clone = ModelParams.__new__(ModelParams)
-        clone.config = self.config
-        clone._params = {
-            name: Tensor(t.data.astype(dtype), requires_grad=True)
-            for name, t in self._params.items()
-        }
-        return clone
+        return ModelParams._from_arrays(
+            self.config, ((name, t.data.astype(dtype)) for name, t in self._params.items()))
 
 
 def count_parameters(config: ModelConfig) -> int:
@@ -492,7 +496,7 @@ def load_checkpoint(path) -> ModelParams:
         need += 1 + 4 * len(shape) + 4 * math.prod(shape)
         if off + need > len(raw):
             raise CheckpointError(f"{path}: truncated before the end of {name}")
-    params = ModelParams(cfg, seed=0)
+    arrays = []
     for name, want, _ in _param_specs(cfg):
         ndim = raw[off]
         if off + 1 + 4 * ndim > len(raw):
@@ -504,9 +508,9 @@ def load_checkpoint(path) -> ModelParams:
                 f"{path}: {name} has shape {shape}, expected {want}")
         count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-        params[name].data = arr.reshape(shape).astype(np.float32)
+        arrays.append((name, arr.reshape(shape).astype(np.float32)))
         off += 4 * count
     if off != len(raw):
         raise CheckpointError(
             f"{path}: {len(raw) - off} trailing bytes after the last tensor")
-    return params
+    return ModelParams._from_arrays(cfg, arrays)

@@ -153,6 +153,36 @@ def check_dr_scalar_ode():
             f"max dev from 0-D integrator {worst:.2e}, spatial spread {spread:.2e}")
 
 
+def check_dr_mode_decay():
+    """With the reaction off, u0 = cos(2 pi 3x + 1) and v0 = cos(2 pi 2y + 1)
+    are eigenvectors of the periodic 5-point stencil with eigenvalue
+    lam = -(4/h^2) sin^2(pi m / W), so each explicit Euler substep scales
+    them by 1 + sub_dt D lam.  The diffusivities are FitzHugh-Nagumo's
+    D_u = 1e-3 and D_v = 5e-3, written here rather than read from pdegen so
+    that swapped ones fail, as do a wrong wrap edge or a transposed stencil;
+    the phase makes a halo mirrored about a grid line fail too."""
+    n, dt, t_steps = 32, 0.1, 5
+    d_u, d_v = 1e-3, 5e-3
+    grid = pg.GridGeometry(n, n)
+    xy = grid.coords()
+    init = np.stack([np.cos(2 * np.pi * 3 * xy[..., 0] + 1.0),
+                     np.cos(2 * np.pi * 2 * xy[..., 1] + 1.0)], axis=-1)
+    traj = pg.solve_diffusion_reaction(grid, seed=0, t_steps=t_steps, dt=dt,
+                                       reaction=False, initial=init,
+                                       dtype=np.float64)
+    h_sq = (1.0 / n) ** 2
+    substeps = max(1, int(np.ceil(dt / (h_sq / (4 * max(d_u, d_v))))))
+    sub_dt = dt / substeps
+    gain = [1 + sub_dt * d * -(4 / h_sq) * np.sin(np.pi * m / n) ** 2
+            for d, m in ((d_u, 3), (d_v, 2))]
+    worst = max(np.abs(traj.frames[t, ..., c]
+                       - init[..., c] * gain[c] ** (t * substeps)).max()
+                for t in range(t_steps) for c in range(2))
+    return (substeps >= 2 and worst < 1e-12,
+            f"max dev from the stencil's mode decay {worst:.2e}, "
+            f"{substeps} substeps per frame")
+
+
 def check_ns_energy_neutral_advection():
     field = pg._band_limited_noise(32, 32, seed=9, k_cut=4)[..., 0]
     traj = pg.solve_navier_stokes(pg.GridGeometry(32, 32), seed=9, t_steps=5,
@@ -558,6 +588,7 @@ CHECKS = [
     ("ns_mean_conservation", "pdegen", check_ns_mean_conservation),
     ("dr_mean_conservation", "pdegen", check_dr_mean_conservation),
     ("dr_scalar_ode", "pdegen", check_dr_scalar_ode),
+    ("dr_mode_decay", "pdegen", check_dr_mode_decay),
     ("ns_energy_neutral_advection", "pdegen", check_ns_energy_neutral_advection),
     ("ns_advection_closed_form", "pdegen", check_ns_advection_closed_form),
     ("patch_counting", "masking", check_patch_counting),

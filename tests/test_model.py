@@ -663,6 +663,26 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_load_checkpoint_builds_its_tensors_from_the_file_alone(tmp_path, monkeypatch):
+    # no random init is drawn only to be overwritten
+    params = md.ModelParams(small_config(), seed=21)
+    p = tmp_path / "m.pobw"
+    md.save_checkpoint(params, p)
+    monkeypatch.setattr(md.ModelParams, "__init__", forbidden_init)
+    loaded = md.load_checkpoint(p)
+    assert loaded.names() == params.names()
+    for _, t in loaded.items():
+        assert t.data.dtype == np.float32 and t.requires_grad
+        assert t.data.flags.owndata and t.data.flags.writeable
+    p2 = tmp_path / "m2.pobw"
+    md.save_checkpoint(loaded, p2)
+    assert p.read_bytes() == p2.read_bytes()
+
+
+def forbidden_init(*args, **kw):
+    raise AssertionError("ModelParams.__init__ called")
+
+
 def test_checkpoint_round_trips_every_config_field(tmp_path):
     # each field away from its default, so a field the checkpoint text drops
     # or garbles shows up as a config mismatch

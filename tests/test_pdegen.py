@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +66,51 @@ def test_dr_seed_determinism():
     a = pg.solve_diffusion_reaction(GRID, seed=11, t_steps=5, dt=0.02)
     b = pg.solve_diffusion_reaction(GRID, seed=11, t_steps=5, dt=0.02)
     assert np.array_equal(a.frames, b.frames)
+
+
+def rolled_channel_reference(grid, seed, t_steps, dt):
+    """The solver's float64 frames computed one channel at a time, with four
+    np.roll copies per Laplacian and the cubic as u ** 3, as the solver ran
+    before it moved to the stacked, padded step."""
+    h_sq = (1.0 / grid.w) ** 2
+    substeps = max(1, int(np.ceil(dt / (h_sq / (4.0 * max(pg.DR_D_U, pg.DR_D_V))))))
+    sub_dt = dt / substeps
+
+    def lap(a):
+        return (np.roll(a, 1, 0) + np.roll(a, -1, 0) +
+                np.roll(a, 1, 1) + np.roll(a, -1, 1) - 4.0 * a) / h_sq
+
+    uv = pg._band_limited_noise(grid.h, grid.w, seed, k_cut=6, amplitude=0.5, channels=2)
+    u, v = uv[..., 0], uv[..., 1]
+    frames = [np.stack([u, v], axis=-1)]
+    for _ in range(1, t_steps):
+        for _ in range(substeps):
+            du = pg.DR_D_U * lap(u) + u - u ** 3 - pg.DR_OFFSET_K - v
+            dv = pg.DR_D_V * lap(v) + u - v
+            u, v = u + sub_dt * du, v + sub_dt * dv
+        frames.append(np.stack([u, v], axis=-1))
+    return np.stack(frames)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dr_stacked_step_matches_the_rolled_channel_reference(n, seed):
+    grid = pg.GridGeometry(n, n)
+    want = rolled_channel_reference(grid, seed, t_steps=20, dt=0.2)
+    got = pg.solve_diffusion_reaction(grid, seed, t_steps=20, dt=0.2, dtype=np.float64)
+    assert np.abs(got.frames - want).max() / np.abs(want).max() < 1e-13
+    stored = pg.solve_diffusion_reaction(grid, seed, t_steps=20, dt=0.2)
+    assert np.array_equal(stored.frames, want.astype(np.float32))
+
+
+def test_importing_pdegen_loads_no_scipy():
+    # datagen's setup_s is nearly all import time
+    src = Path(pg.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import partialpde.pdegen; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # -- navier-stokes ---------------------------------------------------------------

@@ -26,9 +26,9 @@ def test_check(fn, tmp_path, monkeypatch):
     assert len(T.active_tape()) == 0 and not T.active_tape().recording
 
 
-def test_checks_are_24_with_unique_names():
+def test_checks_are_25_with_unique_names():
     names = [name for name, _, _ in vf.CHECKS]
-    assert len(names) == 24 and len(set(names)) == 24
+    assert len(names) == 25 and len(set(names)) == 25
 
 
 def test_run_suite_reports_each_check_and_survives_an_exception(tmp_path, monkeypatch):
@@ -97,3 +97,15 @@ def test_advection_oracle_catches_a_flipped_advection_sign(monkeypatch):
     assert not ok, detail
     assert vf.check_ns_energy_neutral_advection()[0]
     assert vf.check_ns_mean_conservation()[0]
+
+
+def test_mode_decay_oracle_catches_swapped_diffusivities(monkeypatch):
+    # the stability bound takes max(D_u, D_v), so the substep count, the
+    # scalar ODE and mean conservation all hold either way
+    d_u, d_v = pg.DR_D_U, pg.DR_D_V
+    monkeypatch.setattr(pg, "DR_D_U", d_v)
+    monkeypatch.setattr(pg, "DR_D_V", d_u)
+    ok, detail = vf.check_dr_mode_decay()
+    assert not ok, detail
+    assert vf.check_dr_scalar_ode()[0]
+    assert vf.check_dr_mean_conservation()[0]
