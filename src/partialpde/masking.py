@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -114,42 +115,42 @@ def mpt_augment(m: ObservationMask, artificial_rate: float, seed: int):
 # -- file format ---------------------------------------------------------------
 # magic "POBM", version u32, pattern u8, rate f32, patch u16, seed u64,
 # h u16, w u16, then ceil(H*W/8) packed mask bits row-major.  Little-endian.
+# The reader checks the payload size the header implies on one file buffer.
 
 _HEADER = struct.Struct("<4sIBfHQHH")
 
 
 def write_mask(m: ObservationMask, path) -> None:
+    """Write one POBM file; a value its header cannot hold raises MaskError first."""
+    try:
+        head = _HEADER.pack(MASK_MAGIC, MASK_VERSION, _PATTERN_CODES[m.pattern],
+                            float(m.missing_rate), int(m.patch_size),
+                            int(m.seed), m.grid.shape[0], m.grid.shape[1])
+    except (struct.error, OverflowError) as e:
+        raise MaskError(f"{path}: the mask header cannot hold a value: {e}") from None
     bits = np.packbits(m.grid.reshape(-1).astype(np.uint8))
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MASK_MAGIC, MASK_VERSION, _PATTERN_CODES[m.pattern],
-                             float(m.missing_rate), int(m.patch_size),
-                             int(m.seed), m.grid.shape[0], m.grid.shape[1]))
-        f.write(bits.tobytes())
+    Path(path).write_bytes(head + bits.tobytes())
 
 
 def read_mask(path) -> ObservationMask:
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise MaskFormatError(f"{path}: truncated mask header")
-        magic, version, pcode, rate, patch, seed, h, w = _HEADER.unpack(head)
-        if magic != MASK_MAGIC:
-            raise MaskFormatError(f"{path}: bad magic {magic!r}")
-        if version != MASK_VERSION:
-            raise MaskFormatError(f"{path}: unsupported version {version}")
-        if pcode not in _PATTERN_NAMES:
-            raise MaskFormatError(f"{path}: unknown pattern code {pcode}")
-        if h == 0 or w == 0:
-            raise MaskFormatError(f"{path}: empty {h}x{w} mask grid")
-        if not 0.0 <= rate < 1.0:
-            raise MaskFormatError(f"{path}: missing rate {rate} outside [0, 1)")
-        nbytes = -(-h * w // 8)
-        raw = f.read(nbytes)
-        if len(raw) < nbytes:
-            raise MaskFormatError(f"{path}: truncated mask payload")
-        if f.read(1):
-            raise MaskFormatError(f"{path}: trailing bytes after the mask payload")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                             count=h * w).reshape(h, w)
-    return ObservationMask(bits.astype(np.uint8), _PATTERN_NAMES[pcode],
-                           float(rate), int(patch), int(seed))
+    raw = Path(path).read_bytes()
+    if len(raw) < _HEADER.size:
+        raise MaskFormatError(f"{path}: truncated mask header")
+    magic, version, pcode, rate, patch, seed, h, w = _HEADER.unpack_from(raw)
+    if magic != MASK_MAGIC:
+        raise MaskFormatError(f"{path}: bad magic {magic!r}")
+    if version != MASK_VERSION:
+        raise MaskFormatError(f"{path}: unsupported version {version}")
+    if pcode not in _PATTERN_NAMES:
+        raise MaskFormatError(f"{path}: unknown pattern code {pcode}")
+    if h == 0 or w == 0:
+        raise MaskFormatError(f"{path}: empty {h}x{w} mask grid")
+    if not 0.0 <= rate < 1.0:
+        raise MaskFormatError(f"{path}: missing rate {rate} outside [0, 1)")
+    nbytes = -(-h * w // 8)
+    if len(raw) - _HEADER.size < nbytes:
+        raise MaskFormatError(f"{path}: truncated mask payload")
+    if len(raw) - _HEADER.size > nbytes:
+        raise MaskFormatError(f"{path}: trailing bytes after the mask payload")
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8, offset=_HEADER.size), count=h * w)
+    return ObservationMask(bits.reshape(h, w), _PATTERN_NAMES[pcode], rate, patch, seed)

@@ -28,7 +28,6 @@ does the rest with one `tensor.tap_contract` per layer.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -40,7 +39,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"POBW"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 MIXERS = ("attention", "mlp", "none")
 EPS = 1e-6      # keeps each token's aggregation weights from dividing by zero
@@ -433,9 +432,9 @@ def lano_forward(coords: np.ndarray, frames: np.ndarray, mask: np.ndarray,
 
 
 # -- checkpoints -----------------------------------------------------------------
-# magic "POBW", version u32, u32-length-prefixed UTF-8 JSON object of the
-# ModelConfig fields, then parameter tensors in declaration order: ndim u8,
-# dims u32 each, float32 data.
+# magic "POBW", version u32=4, u32-length-prefixed UTF-8 JSON object of the
+# ModelConfig fields, then each tensor's little-endian float32 data in
+# declaration order; the config fixes every shape, so none is stored.
 
 def config_to_text(cfg: ModelConfig) -> str:
     return json.dumps(asdict(cfg))
@@ -452,18 +451,11 @@ def config_from_text(text: str) -> ModelConfig:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    cfg_blob = config_to_text(params.config).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(cfg_blob)))
-    buf.write(cfg_blob)
-    for _, t in params.items():
-        buf.write(struct.pack("<B", t.ndim))
-        buf.write(struct.pack(f"<{t.ndim}I", *t.shape))
-        buf.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    blob = config_to_text(params.config).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob)
+        for t in params.tensors():
+            f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
 class CheckpointError(IOError):
@@ -490,27 +482,16 @@ def load_checkpoint(path) -> ModelParams:
     except (ValueError, TypeError) as e:     # bad JSON or value, unknown key
         raise CheckpointError(f"{path}: bad config: {e}") from None
     # the bytes the config's tensors take, counted before any is allocated:
-    # a config naming more than the file holds must not reach ModelParams
-    need = 0
+    # a config naming more than the file holds must not reach the parse
+    tensors, end = [], off
     for name, shape, _ in _param_specs(cfg):
-        need += 1 + 4 * len(shape) + 4 * math.prod(shape)
-        if off + need > len(raw):
+        tensors.append((name, shape, end))
+        end += 4 * math.prod(shape)
+        if end > len(raw):
             raise CheckpointError(f"{path}: truncated before the end of {name}")
-    arrays = []
-    for name, want, _ in _param_specs(cfg):
-        ndim = raw[off]
-        if off + 1 + 4 * ndim > len(raw):
-            raise CheckpointError(f"{path}: truncated shape of {name}")
-        shape = struct.unpack_from(f"<{ndim}I", raw, off + 1)
-        off += 1 + 4 * ndim
-        if shape != want:
-            raise CheckpointError(
-                f"{path}: {name} has shape {shape}, expected {want}")
-        count = math.prod(shape)
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-        arrays.append((name, arr.reshape(shape).astype(np.float32)))
-        off += 4 * count
-    if off != len(raw):
+    if end != len(raw):
         raise CheckpointError(
-            f"{path}: {len(raw) - off} trailing bytes after the last tensor")
-    return ModelParams._from_arrays(cfg, arrays)
+            f"{path}: {len(raw) - end} trailing bytes after the last tensor")
+    return ModelParams._from_arrays(cfg, (
+        (name, np.frombuffer(raw, "<f4", math.prod(shape), at).reshape(shape)
+         .astype(np.float32)) for name, shape, at in tensors))

@@ -286,7 +286,8 @@ def kinetic_energy(omega: np.ndarray) -> float:
 
 # -- trajectory files -----------------------------------------------------------
 # magic "POBD", version u32=1, pde_kind u8, T_all u16, H u16, W u16, C u8,
-# seed u64, then frames as little-endian float32 in (t, y, x, c) order.
+# seed u64, then frames as little-endian float32 in (t, y, x, c) order.  The
+# reader checks, on one file buffer, that exactly that many bytes follow.
 
 _DATA_HEADER = struct.Struct("<4sIBHHHBQ")
 _FIELD_BITS = {"T_all": 16, "H": 16, "W": 16, "C": 8, "seed": 64}
@@ -317,25 +318,23 @@ def write_trajectory(traj: Trajectory, path) -> None:
 
 def read_trajectory(path, dt: float = 1.0) -> Trajectory:
     """Read one POBD file; dt is not part of the file (manifest carries it)."""
-    with open(path, "rb") as f:
-        head = f.read(_DATA_HEADER.size)
-        if len(head) < _DATA_HEADER.size:
-            raise DataFormatError(f"{path}: truncated header")
-        magic, version, kind, t_all, h, w, c, seed = _DATA_HEADER.unpack(head)
-        if magic != DATA_MAGIC:
-            raise DataFormatError(f"{path}: bad magic {magic!r}")
-        if version != DATA_VERSION:
-            raise DataFormatError(
-                f"{path}: unsupported version {version} (endianness or format mismatch)")
-        if kind not in _KIND_NAMES:
-            raise DataFormatError(f"{path}: unknown pde_kind code {kind}")
-        n = t_all * h * w * c
-        raw = f.read(4 * n)
-        if len(raw) < 4 * n:
-            raise DataFormatError(f"{path}: truncated frame payload")
-        if f.read(1):
-            raise DataFormatError(f"{path}: trailing bytes after the frame payload")
-        frames = np.frombuffer(raw, dtype="<f4", count=n).reshape(t_all, h, w, c)
+    raw = Path(path).read_bytes()
+    if len(raw) < _DATA_HEADER.size:
+        raise DataFormatError(f"{path}: truncated header")
+    magic, version, kind, t_all, h, w, c, seed = _DATA_HEADER.unpack_from(raw)
+    if magic != DATA_MAGIC:
+        raise DataFormatError(f"{path}: bad magic {magic!r}")
+    if version != DATA_VERSION:
+        raise DataFormatError(
+            f"{path}: unsupported version {version} (endianness or format mismatch)")
+    if kind not in _KIND_NAMES:
+        raise DataFormatError(f"{path}: unknown pde_kind code {kind}")
+    n = t_all * h * w * c
+    if len(raw) - _DATA_HEADER.size < 4 * n:
+        raise DataFormatError(f"{path}: truncated frame payload")
+    if len(raw) - _DATA_HEADER.size > 4 * n:
+        raise DataFormatError(f"{path}: trailing bytes after the frame payload")
+    frames = np.frombuffer(raw, "<f4", n, _DATA_HEADER.size).reshape(t_all, h, w, c)
     return Trajectory(frames.astype(np.float32), float(dt), _KIND_NAMES[kind], seed)
 
 
@@ -383,10 +382,19 @@ def read_manifest(path) -> DatasetManifest:
 
 
 def write_dataset(trajs_by_split: dict, out_dir) -> DatasetManifest:
-    """Write one POBD file per trajectory plus a manifest.txt."""
+    """Write one POBD file per trajectory plus a manifest.txt; a trajectory
+    unlike the first or with an unstorable seed raises ValueError first."""
     first = next((t for ts in trajs_by_split.values() for t in ts), None)
     if first is None:
         raise ValueError("a dataset needs at least one trajectory")
+    want = (first.frames.shape, first.pde_kind, first.dt)
+    for split, trajs in trajs_by_split.items():
+        for i, t in enumerate(trajs):
+            _check_header_fields(f"{split} trajectory {i}", [("seed", t.seed)])
+            if (t.frames.shape, t.pde_kind, t.dt) != want:
+                raise ValueError(f"{split} trajectory {i}: frames, pde_kind and dt "
+                                 f"{(t.frames.shape, t.pde_kind, t.dt)} differ from "
+                                 f"the first trajectory's {want}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_all, h, w, c = first.frames.shape

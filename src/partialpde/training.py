@@ -212,12 +212,17 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
     val = splits.get("val") or []      # never the test split
     if not train:
         raise ValueError("empty training split")
-    for split, trajs in (("train", train), ("val", val)):
+    # train trajectories share train[0]'s (T, H, W, C), val ones its (H, W, C)
+    for split, trajs, dims in (("train", train, slice(0, 4)), ("val", val, slice(1, 4))):
         for j, traj in enumerate(trajs):
             h, w = traj.frames.shape[1:3]
             if (h, w) != (gh, gw):
                 raise ValueError(f"{split} trajectory {j} is on a {h}x{w} grid, "
                                  f"grid_hw is {gh}x{gw}")
+            got, want = traj.frames.shape[dims], train[0].frames.shape[dims]
+            if got != want:
+                raise ValueError(f"{split} trajectory {j} has frames of shape {got}, "
+                                 f"train trajectory 0 has {want}")
 
     history = model_cfg.history
     t_all = train[0].t_all

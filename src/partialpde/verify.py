@@ -574,10 +574,13 @@ def check_round_trips(tmp_dir):
         params = md.ModelParams(cfg, seed=3)
         cp = f"{td}/c.pobw"
         md.save_checkpoint(params, cp)
+        with open(cp, "rb") as f:     # header, config text and float32 data alone
+            ok &= len(f.read()) == (12 + len(md.config_to_text(cfg))
+                                    + 4 * md.count_parameters(cfg))
         loaded = md.load_checkpoint(cp)
         ok &= all(np.array_equal(a.data, b.data)
                   for (_, a), (_, b) in zip(params.items(), loaded.items()))
-    return bool(ok), "dataset/mask/checkpoint round-trips bit-exact"
+    return bool(ok), "dataset/mask/checkpoint round-trips bit-exact, sizes exact"
 
 
 CHECKS = [

@@ -265,3 +265,12 @@ def test_cli_gen_data_rejects_an_unusable_dt(tmp_path, capsys, pde, dt):
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error:") and "dt" in err[0]
     assert not (tmp_path / "ds").exists()
+
+
+def test_cli_gen_mask_with_a_seed_the_header_cannot_hold_writes_no_file(tmp_path, capsys):
+    # the seed is a u64 field
+    code, err = run(capsys, "gen-mask", "--grid", 8, "--pattern", "point",
+                    "--seed", 2 ** 64, "--out", tmp_path / "m.pobm")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "m.pobm" in err[0]
+    assert not (tmp_path / "m.pobm").exists()

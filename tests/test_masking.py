@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,3 +164,17 @@ def test_mask_file_trailing_bytes_are_rejected(tmp_path):
     (tmp_path / "x.pobm").write_bytes(raw + b"\x00")
     with pytest.raises(mk.MaskFormatError, match="trailing"):
         mk.read_mask(tmp_path / "x.pobm")
+
+
+def test_mask_header_claiming_a_huge_grid_is_refused_before_a_large_allocation(tmp_path):
+    # 16384 x 16384 cells would be a 33.6 MB payload; the file holds 1 byte
+    raw = written_mask_bytes(tmp_path)[:23] + struct.pack("<HH", 16384, 16384) + b"\0"
+    (tmp_path / "big.pobm").write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mk.MaskFormatError, match="truncated"):
+            mk.read_mask(tmp_path / "big.pobm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -725,6 +725,15 @@ def test_checkpoint_version_1_is_rejected(tmp_path):
         md.load_checkpoint(old)
 
 
+def test_checkpoint_version_3_is_rejected(tmp_path):
+    # version 3 stored each tensor's ndim and dims before its data
+    raw = saved_checkpoint(tmp_path)
+    old = tmp_path / "v3.pobw"
+    old.write_bytes(raw[:4] + (3).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(md.CheckpointError, match="unsupported version 3"):
+        md.load_checkpoint(old)
+
+
 def test_checkpoint_version_2_is_rejected(tmp_path):
     # version 2 stored the config as key=value lines
     raw = saved_checkpoint(tmp_path)

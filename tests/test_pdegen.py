@@ -306,6 +306,16 @@ def test_trajectory_trailing_bytes_are_rejected(tmp_path):
         pg.read_trajectory(tmp_path / "x.pobd")
 
 
+def test_trajectory_header_claiming_more_than_memory_holds_is_truncation_error(tmp_path):
+    # 65535**3 * 255 float32 frames are 2.9e17 bytes, more than the address
+    # space; the 16 bytes that follow must be refused without a read of that size
+    head = pg._DATA_HEADER.pack(pg.DATA_MAGIC, pg.DATA_VERSION, 1,
+                                65535, 65535, 65535, 255, 0)
+    (tmp_path / "big.pobd").write_bytes(head + b"\0" * 16)
+    with pytest.raises(pg.DataFormatError, match="truncated"):
+        pg.read_trajectory(tmp_path / "big.pobd")
+
+
 def write_small_dataset(tmp_path):
     trajs = {"train": [pg.solve_diffusion_reaction(GRID, seed=s, t_steps=4, dt=0.02)
                        for s in range(2)]}
@@ -388,6 +398,31 @@ def test_dataset_round_trip_and_manifest(tmp_path):
     # splits disjoint by seed
     all_seeds = [t.seed for split in ("train", "val") for t in splits[split]]
     assert len(set(all_seeds)) == len(all_seeds)
+
+
+@pytest.mark.parametrize("t_steps, kind, dt", [
+    (4, pg.NAVIER_STOKES, 0.05), (6, pg.DIFFUSION_REACTION, 0.05),
+    (6, pg.NAVIER_STOKES, 0.1),
+], ids=["frames", "pde_kind", "dt"])
+def test_write_dataset_refuses_trajectories_unlike_the_first(tmp_path, t_steps, kind, dt):
+    # read_dataset would refuse the second file against the manifest
+    grid = pg.GridGeometry(8, 8)
+    first = pg.solve_navier_stokes(grid, seed=0, t_steps=6, dt=0.05)
+    other = pg.solve_navier_stokes(grid, seed=1, t_steps=t_steps, dt=dt)
+    other.pde_kind = kind
+    with pytest.raises(ValueError, match="train trajectory 1: .* differ from the first"):
+        pg.write_dataset({"train": [first, other]}, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_write_dataset_refuses_a_seed_the_header_cannot_hold_before_any_file(tmp_path):
+    # the seed is a u64 field; the first trajectory's file must not be left
+    # behind without a manifest
+    frames = np.zeros((3, 4, 4, 1), dtype=np.float32)
+    trajs = [pg.Trajectory(frames, 0.1, pg.NAVIER_STOKES, seed) for seed in (0, 2 ** 64)]
+    with pytest.raises(ValueError, match="train trajectory 1: seed=18446744073709551616"):
+        pg.write_dataset({"train": trajs}, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
 
 
 def test_generate_dataset_splits_disjoint(tmp_path):

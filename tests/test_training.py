@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,36 @@ def test_train_on_splits_rejects_a_trajectory_on_another_grid(tmp_path, split, g
         tr.train_on_splits(splits, grid_hw, tr.MaskSpec(mk.PATCHWISE, 0.25, 4),
                            tiny_model_cfg(phys_channels=1),
                            tr.TrainConfig(epochs=1, batch_size=4), tmp_path / "run")
+
+
+@pytest.mark.parametrize("lengths", [(6, 4), (4, 6)], ids=["longer-first", "shorter-first"])
+def test_train_on_splits_rejects_train_trajectories_of_unequal_length(tmp_path, lengths):
+    # windows are cut with train[0]'s length: a shorter trajectory would
+    # break a batch mid-epoch, a longer one would lose its last windows
+    grid = pg.GridGeometry(8, 8)
+    train = [pg.solve_navier_stokes(grid, seed=s, t_steps=t, dt=0.05)
+             for s, t in enumerate(lengths)]
+    a, b = ((t, 8, 8, 1) for t in lengths)
+    with pytest.raises(ValueError, match=re.escape(
+            f"train trajectory 1 has frames of shape {b}, train trajectory 0 has {a}")):
+        tr.train_on_splits({"train": train}, (8, 8), tr.MaskSpec(mk.PATCHWISE, 0.25, 4),
+                           tiny_model_cfg(phys_channels=1, history=3),
+                           tr.TrainConfig(epochs=1, batch_size=4), tmp_path / "run")
+    assert not (tmp_path / "run" / "model.pobw").exists()
+
+
+def test_train_on_splits_rejects_a_val_trajectory_with_other_channels(tmp_path):
+    # val trajectories may differ in length only
+    splits = tiny_dataset(n_train=1, n_val=0)
+    splits["val"] = [pg.solve_navier_stokes(pg.GridGeometry(8, 8), seed=0, t_steps=6,
+                                            dt=0.05)]
+    with pytest.raises(ValueError, match=re.escape(
+            "val trajectory 0 has frames of shape (8, 8, 1), "
+            "train trajectory 0 has (8, 8, 2)")):
+        tr.train_on_splits(splits, (8, 8), tr.MaskSpec(mk.PATCHWISE, 0.25, 4),
+                           tiny_model_cfg(), tr.TrainConfig(epochs=1, batch_size=4),
+                           tmp_path / "run")
+    assert not (tmp_path / "run" / "model.pobw").exists()
 
 
 def test_train_runs_and_writes_artifacts(tmp_path):

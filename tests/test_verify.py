@@ -1,5 +1,7 @@
 import csv
+import struct
 
+import numpy as np
 import pytest
 
 from partialpde import model as md
@@ -109,3 +111,39 @@ def test_mode_decay_oracle_catches_swapped_diffusivities(monkeypatch):
     assert not ok, detail
     assert vf.check_dr_scalar_ode()[0]
     assert vf.check_dr_mean_conservation()[0]
+
+
+def test_run_suite_catches_a_checkpoint_with_per_tensor_records(tmp_path, monkeypatch):
+    # a writer that still puts each tensor's ndim and dims before its data,
+    # read back by a loader of that layout, round-trips bit-exact: only the
+    # file's size gives it away
+    def save_with_records(params, path):
+        blob = md.config_to_text(params.config).encode()
+        with open(path, "wb") as f:
+            f.write(md.CHECKPOINT_MAGIC
+                    + struct.pack("<II", md.CHECKPOINT_VERSION, len(blob)) + blob)
+            for t in params.tensors():
+                f.write(struct.pack(f"<B{t.ndim}I", t.ndim, *t.shape)
+                        + t.data.astype("<f4").tobytes())
+
+    def load_with_records(path):
+        with open(path, "rb") as f:
+            raw = f.read()
+        (cfg_len,) = struct.unpack_from("<I", raw, 8)
+        cfg = md.config_from_text(raw[12:12 + cfg_len].decode())
+        off, arrays = 12 + cfg_len, []
+        for name, shape, _ in md._param_specs(cfg):
+            off += 1 + 4 * len(shape)
+            count = int(np.prod(shape))
+            arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
+            arrays.append((name, arr.reshape(shape).astype(np.float32)))
+            off += 4 * count
+        return md.ModelParams._from_arrays(cfg, arrays)
+
+    monkeypatch.setattr(md, "save_checkpoint", save_with_records)
+    monkeypatch.setattr(md, "load_checkpoint", load_with_records)
+    ok, results = vf.run_suite(tmp_dir=str(tmp_path))
+    assert not ok
+    failed = [(r.name, r.detail) for r in results if not r.ok]
+    assert failed == [("round_trips",
+                       "dataset/mask/checkpoint round-trips bit-exact, sizes exact")]
