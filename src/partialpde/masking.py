@@ -128,6 +128,10 @@ def write_mask(m: ObservationMask, path) -> None:
                             int(m.seed), m.grid.shape[0], m.grid.shape[1])
     except (struct.error, OverflowError) as e:
         raise MaskError(f"{path}: the mask header cannot hold a value: {e}") from None
+    stored = _HEADER.unpack(head)[3]
+    if not 0.0 <= stored < 1.0:
+        raise MaskError(f"{path}: missing rate {m.missing_rate} is stored as {stored},"
+                        " outside [0, 1)")
     bits = np.packbits(m.grid.reshape(-1).astype(np.uint8))
     Path(path).write_bytes(head + bits.tobytes())
 

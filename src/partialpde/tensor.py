@@ -2,13 +2,19 @@
 
 Values live in numpy buffers.  Recording happens only inside a `tape()`
 block: there every primitive that touches a gradient-requiring input
-records a node holding one edge per such input, an (input, vjp) pair whose
-vjp maps the result's cotangent to that input's gradient.  Constant inputs
-get no edge, so no gradient is ever computed for them.  Outside a block
-nothing is recorded and every result is a constant.  The tape is
-define-by-run: backward() replays the recorded nodes in exact reverse order
-of recording, which is a valid reverse topological order for any graph
-built eagerly, and calls each node's edges in order.
+records a node for its result.  The node holds the result's shape and
+dtype, a weak reference to the result, and one edge per such input: an
+(input, vjp) pair whose vjp maps the result's cotangent to that input's
+gradient, and whose input is the parent's node, or the tensor itself for
+a leaf.  Constant inputs get no edge, so no gradient is ever computed for
+them.  A vjp closes over the arrays and shapes it reads and never over an
+input tensor, so the tape keeps alive only what backward will read: a
+dropped intermediate whose data no vjp needs is freed during the forward.
+Outside a block nothing is recorded and every result is a constant.  The
+tape is define-by-run: backward() replays the recorded nodes in exact
+reverse order of recording, which is a valid reverse topological order for
+any graph built eagerly, and calls each node's edges in order.  It drops
+each node's edges as it goes, so it runs once per tape.
 The block clears the tape when it exits, also when it raises, so a forward
 that fails before its backward leaves no nodes behind.  Blocks do not nest.
 
@@ -21,6 +27,7 @@ each update back in the parameter's dtype.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,15 +55,23 @@ class TapeError(RuntimeError):
     pass
 
 
+class _Node:
+    """The tape's record of one result: its edges, shape and dtype."""
+
+    __slots__ = ("edges", "shape", "dtype", "result")
+
+    def __init__(self, out: "Tensor", edges: tuple):
+        self.edges = edges            # ((parent node or leaf, vjp), ...)
+        self.shape, self.dtype = out.shape, out.dtype
+        self.result = weakref.ref(out)    # only to detach it on close
+
+
 class GradientTape:
     """Ordered record of primitive operations for one backward pass."""
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self._nodes: list[_Node] = []
         self.recording = False
-
-    def record(self, t: "Tensor") -> None:
-        self._nodes.append(t)
 
     def __len__(self):
         return len(self._nodes)
@@ -73,8 +88,9 @@ def active_tape() -> GradientTape:
 def tape():
     """Record primitives for backward() until the block exits.
 
-    On exit, also by an exception, the tape is cleared: recorded results
-    become constants and their activations are released.
+    backward() runs at most once per block.  On exit, also by an
+    exception, the tape is cleared: recorded results still alive become
+    constants and the arrays their vjps captured are released.
     """
     if _TAPE.recording:
         raise TapeError("a gradient tape is already open")
@@ -83,23 +99,25 @@ def tape():
         yield _TAPE
     finally:
         _TAPE.recording = False
-        for t in _TAPE._nodes:
-            t.requires_grad = False
-            t._edges = ()
+        for node in _TAPE._nodes:
+            t = node.result()
+            if t is not None:
+                t.requires_grad = False
+                t._node = None
         _TAPE._nodes.clear()
 
 
 class Tensor:
     """A dense n-dimensional array, optionally attached to the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "_edges")
+    __slots__ = ("data", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         if self.data.dtype.kind != "f":
             raise TypeError(f"tensor data must be floating, got {self.data.dtype}")
         self.requires_grad = bool(requires_grad)
-        self._edges: tuple = ()       # ((input, vjp), ...) of a tape node
+        self._node: _Node | None = None       # set while on an open tape
 
     # -- introspection ----------------------------------------------------
     @property
@@ -117,9 +135,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def is_leaf(self) -> bool:
-        return self.requires_grad and not self._edges
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -157,15 +172,16 @@ def _make(data: np.ndarray, *edges: tuple[Tensor, Callable]) -> Tensor:
     """Wrap an op result given one (input, vjp) edge per input.
 
     Inside a tape the result keeps the edges whose input requires a
-    gradient, and is recorded as a node iff at least one is left.
+    gradient, each pointing at its input's node (the input itself for a
+    leaf), and is recorded as a node iff at least one is left.
     """
     out = Tensor(data)
     if _TAPE.recording:
-        edges = tuple(e for e in edges if e[0].requires_grad)
+        edges = tuple((p._node or p, vjp) for p, vjp in edges if p.requires_grad)
         if edges:
             out.requires_grad = True
-            out._edges = edges
-            _TAPE.record(out)
+            out._node = _Node(out, edges)
+            _TAPE._nodes.append(out._node)
     return out
 
 
@@ -186,8 +202,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeMismatch("add", a.shape, b.shape) from None
-    return _make(data, (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _make(data, (a, lambda g: _unbroadcast(g, sa)),
+                 (b, lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -195,8 +212,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         data = a.data - b.data
     except ValueError:
         raise ShapeMismatch("sub", a.shape, b.shape) from None
-    return _make(data, (a, lambda g: _unbroadcast(g, a.shape)),
-                 (b, lambda g: _unbroadcast(-g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _make(data, (a, lambda g: _unbroadcast(g, sa)),
+                 (b, lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -204,8 +222,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeMismatch("mul", a.shape, b.shape) from None
-    return _make(data, (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-                 (b, lambda g: _unbroadcast(g * a.data, b.shape)))
+    # each vjp names only the other operand's array: a constant's edge is
+    # dropped, and with it the reference to this side's array
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    return _make(data, (a, lambda g: _unbroadcast(g * bd, sa)),
+                 (b, lambda g: _unbroadcast(g * ad, sb)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -213,8 +234,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         data = a.data / b.data
     except ValueError:
         raise ShapeMismatch("div", a.shape, b.shape) from None
-    return _make(data, (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-                 (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    return _make(data, (a, lambda g: _unbroadcast(g / bd, sa)),
+                 (b, lambda g: _unbroadcast(-g * ad / (bd * bd), sb)))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -226,9 +248,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError:
         raise ShapeMismatch("matmul", a.shape, b.shape) from None
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
     return _make(data,
-                 (a, lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)),
-                 (b, lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)))
+                 (a, lambda g: _unbroadcast(g @ bd.swapaxes(-1, -2), sa)),
+                 (b, lambda g: _unbroadcast(ad.swapaxes(-1, -2) @ g, sb)))
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -264,12 +287,13 @@ def layernorm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     from scipy.special import erf     # slow to import, so loaded on first use
-    phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    y = x.data * phi
+    xd = x.data
+    phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    y = xd * phi
 
     def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        return g * (phi + x.data * pdf)
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
+        return g * (phi + xd * pdf)
 
     return _make(y, (x, vjp))
 
@@ -293,7 +317,8 @@ def reshape(x: Tensor, shape) -> Tensor:
         data = x.data.reshape(shape)
     except ValueError:
         raise ShapeMismatch("reshape", x.shape, tuple(shape)) from None
-    return _make(data, (x, lambda g: g.reshape(x.shape)))
+    sx = x.shape
+    return _make(data, (x, lambda g: g.reshape(sx)))
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -303,8 +328,10 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 
 def getitem(x: Tensor, idx) -> Tensor:
+    sx, dtype = x.shape, x.dtype
+
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(sx, dtype)
         gx[idx] = g
         return gx
 
@@ -325,20 +352,22 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
+    sx = x.shape
 
     def vjp(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, x.shape).copy()
+        return np.broadcast_to(g, sx).copy()
 
     return _make(np.asarray(data, dtype=x.data.dtype), (x, vjp))
 
 
 def tmean(x: Tensor) -> Tensor:
     """Mean over every element: a scalar."""
+    n, sx = x.size, x.shape
     return _make(np.asarray(x.data.mean(), dtype=x.data.dtype),
-                 (x, lambda g: np.broadcast_to(np.asarray(g) / x.size, x.shape).copy()))
+                 (x, lambda g: np.broadcast_to(np.asarray(g) / n, sx).copy()))
 
 
 # -- convolution --------------------------------------------------------------
@@ -406,16 +435,17 @@ def tap_contract(s: Tensor, wz: Tensor, k: int, gh: int, gw: int) -> Tensor:
     # so no gather outlives the node's backward.
     shared = []
     both = s.requires_grad and wz.requires_grad
+    sd, wd, ss, ws = s.data, wz.data, s.shape, wz.shape
 
     def vjp_s(g):
         gy = shifted(g)
         if both:
             shared.append(gy)
-        return _unbroadcast(wz.data.swapaxes(-1, -2) @ gy, s.shape)
+        return _unbroadcast(wd.swapaxes(-1, -2) @ gy, ss)
 
     def vjp_wz(g):
         gy = shared.pop() if shared else shifted(g)
-        return _unbroadcast(gy @ s.data.swapaxes(-1, -2), wz.shape)
+        return _unbroadcast(gy @ sd.swapaxes(-1, -2), ws)
 
     return _make(out.reshape(lead + (c, n)), (s, vjp_s), (wz, vjp_wz))
 
@@ -426,29 +456,31 @@ def backward(loss: Tensor) -> dict:
     """Backpropagate from a scalar loss through the open tape.
 
     Returns a map {leaf tensor: gradient array}; every leaf the tape
-    recorded appears, with zeros when unreachable from the loss.
+    recorded appears, with zeros when unreachable from the loss.  Each
+    node's edges are dropped once run, freeing the arrays their vjps hold,
+    so a second backward on the same tape raises TapeError.
     """
     if loss.size != 1:
         raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not loss._edges:
+    if loss._node is None:
         raise TapeError("loss was not recorded inside a tape() block")
+    nodes = _TAPE._nodes
+    if not nodes[0].edges:      # every node has an edge until backward runs
+        raise TapeError("backward already ran on this tape; its edges are spent")
 
     grads: dict[int, np.ndarray] = {
-        id(loss): np.ones_like(loss.data)
+        id(loss._node): np.ones_like(loss.data)
     }
-    leaves: dict[int, Tensor] = {}
-    nodes = _TAPE._nodes
-    for t in nodes:
-        for p, _ in t._edges:
-            if p.is_leaf():
-                leaves[id(p)] = p
+    leaves = {id(p): p for node in nodes for p, _ in node.edges
+              if isinstance(p, Tensor)}
 
-    for t in reversed(nodes):
-        g = grads.pop(id(t), None)
+    for node in reversed(nodes):
+        edges, node.edges = node.edges, ()
+        g = grads.pop(id(node), None)
         if g is None:
             continue
-        for p, vjp in t._edges:
-            pg = np.asarray(vjp(g), dtype=p.data.dtype).reshape(p.shape)
+        for p, vjp in edges:
+            pg = np.asarray(vjp(g), dtype=p.dtype).reshape(p.shape)
             acc = grads.get(id(p))
             # out-of-place: several edges may hand on the same array
             grads[id(p)] = pg if acc is None else acc + pg

@@ -274,3 +274,12 @@ def test_cli_gen_mask_with_a_seed_the_header_cannot_hold_writes_no_file(tmp_path
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error:") and "m.pobm" in err[0]
     assert not (tmp_path / "m.pobm").exists()
+
+
+def test_cli_gen_mask_with_a_rate_the_header_rounds_to_one_writes_no_file(tmp_path, capsys):
+    # the rate is an f32 field, where 0.99999999 becomes 1.0
+    code, err = run(capsys, "gen-mask", "--grid", 8, "--pattern", "point",
+                    "--rate", "0.99999999", "--out", tmp_path / "m.pobm")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "m.pobm" in err[0]
+    assert not (tmp_path / "m.pobm").exists()

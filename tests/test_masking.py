@@ -159,6 +159,17 @@ def test_mask_file_with_a_rate_outside_0_1_is_rejected(tmp_path, rate):
         mk.read_mask(tmp_path / "r.pobm")
 
 
+def test_write_mask_refuses_a_rate_its_f32_header_rounds_to_one(tmp_path):
+    # 0.99999999 < 1 passes the generator's check but is stored as 1.0,
+    # which read_mask refuses; the largest f32 below 1 is stored as is
+    with pytest.raises(mk.MaskError, match="rate"):
+        mk.write_mask(mk.gen_pointwise_mask(8, 8, 0.99999999, seed=0), tmp_path / "m.pobm")
+    assert not (tmp_path / "m.pobm").exists()
+    below = float(np.nextafter(np.float32(1.0), np.float32(0.0)))
+    mk.write_mask(mk.gen_pointwise_mask(8, 8, below, seed=0), tmp_path / "b.pobm")
+    assert mk.read_mask(tmp_path / "b.pobm").missing_rate == below
+
+
 def test_mask_file_trailing_bytes_are_rejected(tmp_path):
     raw = written_mask_bytes(tmp_path)
     (tmp_path / "x.pobm").write_bytes(raw + b"\x00")

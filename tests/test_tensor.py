@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import weakref
 import zlib
 from pathlib import Path
 
@@ -138,6 +139,81 @@ def test_nested_tape_is_rejected_and_leaves_the_outer_one_open():
         grads = T.backward((x * x).sum())
     assert np.array_equal(grads[x], 2 * x.data)
     assert len(T.active_tape()) == 0
+
+
+def test_second_backward_on_one_tape_is_rejected():
+    # the first backward spent the edges; a second would return zeros
+    x = param([1.0, 2.0])
+    with T.tape():
+        loss = (x * x).sum()
+        grads = T.backward(loss)
+        with pytest.raises(T.TapeError, match="spent"):
+            T.backward(loss)
+        with pytest.raises(T.TapeError, match="spent"):
+            T.backward((x * 3.0).sum())
+    assert np.array_equal(grads[x], 2 * x.data)
+    assert len(T.active_tape()) == 0
+    with T.tape():
+        assert np.array_equal(T.backward((x * 3.0).sum())[x], [3.0, 3.0])
+
+
+# (name, fn, kinds, watched argument, whether a recorded vjp reads its data):
+# every argument has shape (3, 4); "g" requires a gradient, "c" is a constant
+RETENTION_CASES = [
+    ("add", lambda a, b: a + b, "gg", 0, False),
+    ("sub", lambda a, b: a - b, "gg", 1, False),
+    ("mul_const", lambda a, b: a * b, "gc", 0, False),
+    ("div_const", lambda a, b: a / b, "gc", 0, False),
+    ("matmul_const_b", lambda a, b: T.matmul(a, T.transpose(b, (1, 0))), "gc", 0, False),
+    ("matmul_const_a", lambda a, b: T.matmul(a, T.transpose(b, (1, 0))), "cg", 1, False),
+    ("reshape", lambda a: T.reshape(a, (4, 3)), "g", 0, False),
+    ("transpose", lambda a: T.transpose(a, (1, 0)), "g", 0, False),
+    ("concat", lambda a, b: T.concat([a, b], axis=1), "gg", 0, False),
+    ("getitem", lambda a: a[1:, ::2], "g", 0, False),
+    ("tsum", lambda a: a.sum(axis=0), "g", 0, False),
+    ("tmean", lambda a: a.mean(), "g", 0, False),
+    ("masked_fill", lambda a: T.masked_fill(a, np.eye(3, 4, dtype=bool), 0.0), "g", 0,
+     False),
+    ("softmax", lambda a: T.softmax(a, axis=-2), "g", 0, False),
+    ("layernorm", lambda a: T.layernorm(a), "g", 0, False),
+    ("tap_contract_const_wz", lambda a, b: T.tap_contract(a, T.transpose(b, (1, 0)), 1, 2, 2),
+     "gc", 0, False),
+    ("tap_contract_const_s", lambda a, b: T.tap_contract(a, T.transpose(b, (1, 0)), 1, 2, 2),
+     "cg", 1, False),
+    ("gelu", lambda a: T.gelu(a), "g", 0, True),
+    ("mul", lambda a, b: a * b, "gg", 0, True),
+    ("div", lambda a, b: a / b, "gg", 1, True),
+    ("matmul", lambda a, b: T.matmul(a, T.transpose(b, (1, 0))), "gg", 1, True),
+]
+
+
+@pytest.mark.parametrize("name,fn,kinds,watch,read", RETENTION_CASES,
+                         ids=[c[0] for c in RETENTION_CASES])
+def test_tape_keeps_an_input_array_only_if_a_vjp_reads_it(name, fn, kinds, watch, read):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    leaves = [param(rng.uniform(1.0, 2.0, size=(3, 4))) for _ in kinds]
+    with T.tape() as tape:
+        # each argument an intermediate that owns its array
+        args = [x + 0.0 if k == "g" else Tensor(x.data.copy())
+                for x, k in zip(leaves, kinds)]
+        ref = weakref.ref(args[watch].data)
+        fn(*args)
+        assert len(tape) > kinds.count("g")
+        del args
+        assert (ref() is not None) == read, name
+
+
+def test_backward_frees_what_a_node_captured_while_the_tape_is_open():
+    x = param(np.linspace(-1.0, 1.0, 12))
+    with T.tape():
+        h = x * 2.0
+        ref = weakref.ref(h.data)
+        loss = T.gelu(h).sum()
+        del h
+        assert ref() is not None       # the gelu vjp reads its input
+        grads = T.backward(loss)
+        assert ref() is None
+    assert grads[x].shape == (12,)
 
 
 def concat_fn(a, b):

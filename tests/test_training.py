@@ -318,7 +318,7 @@ def test_float32_training_records_and_returns_only_float32(tmp_path,
 
     def checked(loss):
         nodes = T.active_tape()._nodes
-        assert nodes and {t.data.dtype for t in nodes} == {np.dtype(np.float32)}
+        assert nodes and {t.dtype for t in nodes} == {np.dtype(np.float32)}
         grads = backward(loss)
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
         calls.append(len(nodes))
