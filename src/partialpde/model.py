@@ -10,7 +10,10 @@ decode to zero; the observed set grows monotonically with depth.
 
 The maps S are stored token-major, (B, H, L, N): each token's map over
 the N grid points is one contiguous row, so the softmax over tokens and
-each token's sum over points both reduce across contiguous points.
+each token's sum over points both reduce across contiguous points.  The
+encoder forms S in one `tensor.slice_softmax` call: the 1/temperature
+scale, the softmax over the L tokens and the mask multiply run in place on
+one copy of the logits, and one tape node records them.
 
 The propagated maps are never formed.  The partial convolution is linear and
 acts on each token's map separately, so it commutes with the decode
@@ -244,10 +247,11 @@ def phca_encode(yh: Tensor, mask: np.ndarray, params: ModelParams, layer: int):
     """Aggregate observed per-point features into latent tokens.
 
     yh: (B, H, N, C_h); mask: (B, N).  Returns (S, Z): S the masked maps,
-    token-major (B, H, L, N) and softmaxed over the L tokens, with the
-    columns of unobserved points exactly zero; Z (B, H, L, C_h) the
-    S-weighted average of observed features (each token's map normalized
-    by its sum over points, plus eps).
+    token-major (B, H, L, N), softmaxed over the L tokens at 1/temperature
+    and masked by one fused `T.slice_softmax`, so the columns of unobserved
+    points are exactly zero; Z (B, H, L, C_h) the S-weighted average of
+    observed features (each token's map normalized by its sum over points,
+    plus eps).
     """
     cfg = params.config
     if np.any(mask.sum(axis=-1) == 0):
@@ -257,8 +261,7 @@ def phca_encode(yh: Tensor, mask: np.ndarray, params: ModelParams, layer: int):
     logits = T.matmul(T.transpose(params[p + "slice_w2"], (0, 2, 1)),
                       T.transpose(hidden, (0, 1, 3, 2))) \
         + T.transpose(params[p + "slice_b2"], (0, 2, 1))       # (B, H, L, N)
-    s = T.softmax(logits * (1.0 / cfg.temperature), axis=-2)
-    s = s * mask.astype(s.dtype)[:, None, None, :]
+    s = T.slice_softmax(logits, mask[:, None, None, :], 1.0 / cfg.temperature)
     denom = s.sum(axis=-1, keepdims=True) + EPS                 # (B, H, L, 1)
     z = T.matmul(s, yh) / denom
     return s, z

@@ -18,6 +18,12 @@ each node's edges as it goes, so it runs once per tape.
 The block clears the tape when it exits, also when it raises, so a forward
 that fails before its backward leaves no nodes behind.  Blocks do not nest.
 
+Beside the elementwise, linear-algebra, shape and reduction primitives,
+two fused ones serve the model's propagator, each with a closed-form vjp:
+`slice_softmax`, the encoder's temperature-scaled softmax over the token
+axis times the observation mask, and `tap_contract`, the decoder's
+contraction with per-tap weights summed over shifted grids.
+
 A tensor keeps the dtype of its data, and every primitive returns the
 dtype its inputs give, so a model's parameters fix the precision of each
 forward, tape node and gradient it takes part in.  The optimizer writes
@@ -265,6 +271,40 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(s, (x, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True))))
 
 
+def slice_softmax(x: Tensor, mask: np.ndarray, scale: float) -> Tensor:
+    """Softmax of scale * x over axis -2, then times a 0/1 `mask` (..., 1, N).
+
+    x: (..., L, N), token-major slice logits; the softmax runs across the L
+    tokens at each of the N points, and the columns the mask zeroes come out
+    exactly zero.  The scaled copy is the only new array: the max
+    subtraction, exp, division by the token sum and mask multiply run in
+    place on it, in that order.  With s_m the result and m the mask, the
+    vjp reads only those two:
+
+        dx = scale * s_m * (g*m - sum_L g*m*s_m)
+    """
+    m = np.asarray(mask, dtype=x.dtype)
+    cols = x.shape[:-2] + (1,) + x.shape[-1:]
+    try:
+        fits = x.ndim >= 2 and np.broadcast_shapes(m.shape, cols) == cols
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeMismatch("slice_softmax", x.shape, m.shape)
+    c = np.asarray(scale, dtype=x.dtype)
+    s = x.data * c
+    s -= s.max(axis=-2, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-2, keepdims=True)
+    s *= m
+
+    def vjp(g):
+        gm = g * m
+        return s * (gm - (gm * s).sum(axis=-2, keepdims=True)) * c
+
+    return _make(s, (x, vjp))
+
+
 def layernorm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean / unit variance along `axis` (no affine).
 
@@ -285,17 +325,20 @@ def layernorm(x: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU.
+
+    Only when the tape records and x needs a gradient is the derivative
+    d = phi + x * pdf formed, here in the forward, so the vjp keeps d alone
+    and neither x nor phi.
+    """
     from scipy.special import erf     # slow to import, so loaded on first use
     xd = x.data
     phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
     y = xd * phi
-
-    def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-        return g * (phi + xd * pdf)
-
-    return _make(y, (x, vjp))
+    if not (_TAPE.recording and x.requires_grad):
+        return _make(y)
+    d = phi + xd * (_INV_SQRT_2PI * np.exp(-0.5 * xd * xd))
+    return _make(y, (x, lambda g: g * d))
 
 
 # -- shape manipulation ------------------------------------------------------

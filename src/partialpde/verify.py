@@ -98,6 +98,37 @@ def check_softmax_probability_rows():
     return ok, f"sum dev {np.abs(s.sum(axis=-1) - 1).max():.2e}"
 
 
+def check_slice_softmax_reference():
+    rng = np.random.default_rng(3)
+    scale = 2.0
+    x = rng.uniform(-3, 3, size=(2, 4, 5))            # (batch, tokens, points)
+    x[:, :, 1] += 400.0                   # exp(scale * x) overflows unshifted
+    mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0])[None, :]   # point 2 unobserved
+    got = T.slice_softmax(Tensor(x), mask, scale).data
+    want = np.zeros_like(x)
+    for b in range(x.shape[0]):
+        for n in range(x.shape[2]):
+            col = [scale * v for v in x[b, :, n]]
+            top = max(col)
+            e = [np.exp(v - top) for v in col]
+            want[b, :, n] = [mask[0, n] * v / sum(e) for v in e]
+    err = np.abs(got - want).max()
+    ok = err < 1e-12 and np.all(got[:, :, 2] == 0.0)
+
+    r = rng.normal(size=x.shape)
+    xt = Tensor(x.copy(), requires_grad=True)
+
+    def inner():
+        return (T.slice_softmax(xt, mask, scale) * r).sum()
+
+    with T.tape():
+        an = T.backward(inner())[xt].reshape(-1)
+    fd = _fd_grad(lambda: float(inner().data), xt.data, range(x.size))
+    fd_err = np.abs(fd - an).max() / max(np.abs(fd).max(), 1e-8)
+    return bool(ok) and fd_err < 1e-6, \
+        f"column-loop dev {err:.2e}, vjp vs central differences {fd_err:.2e}"
+
+
 # -- solver checks ------------------------------------------------------------------
 
 def check_ns_viscous_decay():
@@ -587,6 +618,7 @@ CHECKS = [
     ("matmul_triple_loop", "tensor", check_matmul_triple_loop),
     ("mlp_gradient_fd", "tensor", check_mlp_gradient_fd),
     ("softmax_probability_rows", "tensor", check_softmax_probability_rows),
+    ("slice_softmax_reference", "tensor", check_slice_softmax_reference),
     ("ns_viscous_decay", "pdegen", check_ns_viscous_decay),
     ("ns_mean_conservation", "pdegen", check_ns_mean_conservation),
     ("dr_mean_conservation", "pdegen", check_dr_mean_conservation),

@@ -509,33 +509,43 @@ def test_grad_forward_keeps_no_conv_grid_on_tape():
 
 
 def test_forward_softmaxes_token_major_maps_and_contracts_once_per_layer(monkeypatch):
-    # perfbench's tracer wraps the module globals T.softmax and T.tap_contract;
-    # a call that bypasses them leaves its per-layer metrics at 0 without an error
-    softmax, tap_contract = T.softmax, T.tap_contract
-    softmaxed, taps = [], []
+    # perfbench's tracer wraps tensor primitives as module globals (T.softmax
+    # today; T.tap_contract and T.slice_softmax are on its list to add); a
+    # call that bypasses the module global leaves its per-layer metrics at 0
+    # without an error
+    softmax, slice_softmax, tap_contract = T.softmax, T.slice_softmax, T.tap_contract
+    softmaxed, sliced, taps = [], [], []
 
     def counting_softmax(x, axis=-1):
         softmaxed.append((x.shape, axis))
         return softmax(x, axis=axis)
+
+    def counting_slice_softmax(x, mask, scale):
+        sliced.append(x.shape)
+        return slice_softmax(x, mask, scale)
 
     def counting_tap_contract(s, *args):
         taps.append(s.shape)
         return tap_contract(s, *args)
 
     monkeypatch.setattr(T, "softmax", counting_softmax)
+    monkeypatch.setattr(T, "slice_softmax", counting_slice_softmax)
     monkeypatch.setattr(T, "tap_contract", counting_tap_contract)
     cfg = small_config(layers=3)                  # the attention mixer softmaxes too
     params = md.ModelParams(cfg, seed=18, dtype=np.float64)
     b, gh, gw = 2, 6, 5
     coords, frames, mask = random_inputs(cfg, gh, gw, b=b, seed=8)
     maps = (b, cfg.heads, cfg.latent_tokens, gh * gw)
+    token_mix = (b, cfg.heads, cfg.latent_tokens, cfg.latent_tokens)
     for scope in (T.tape, contextlib.nullcontext):
         softmaxed.clear()
+        sliced.clear()
         taps.clear()
         with scope():
             md.lano_forward(coords, frames, mask, params)
         assert taps == [maps] * cfg.layers
-        assert [axis for shape, axis in softmaxed if shape == maps] == [-2] * cfg.layers
+        assert sliced == [maps] * cfg.layers
+        assert softmaxed == [(token_mix, -1)] * cfg.layers
 
 
 # -- kernel oracle -------------------------------------------------------------------

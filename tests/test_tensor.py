@@ -32,6 +32,23 @@ def test_softmax_over_axis_minus_2_matches_scipy():
     assert rel_err(s, softmax(x, axis=-2)) < 1e-14
 
 
+@pytest.mark.parametrize("x_shape,mask_shape", [
+    ((4,), (1, 4)),                 # no token axis
+    ((3, 4), (3, 4)),               # a mask per token, not per point
+    ((3, 4), (1, 5)),               # another number of points
+    ((2, 3, 4), (3, 1, 4)),         # leading axes that do not broadcast
+    ((3, 4), (2, 1, 4)),            # a mask that would grow the result
+])
+def test_slice_softmax_rejects_mismatched_shapes_and_records_nothing(x_shape, mask_shape):
+    x = param(np.zeros(x_shape))
+    with T.tape() as tape:
+        y = x * 2.0
+        with pytest.raises(T.ShapeMismatch, match="slice_softmax"):
+            T.slice_softmax(y, np.ones(mask_shape), 2.0)
+        assert len(tape) == 1
+    assert len(T.active_tape()) == 0 and not T.active_tape().recording
+
+
 def test_layernorm_constant_vector_is_zero():
     y = T.layernorm(Tensor([2.5, 2.5, 2.5, 2.5]))
     assert np.all(y.data == 0.0)
@@ -180,7 +197,9 @@ RETENTION_CASES = [
      "gc", 0, False),
     ("tap_contract_const_s", lambda a, b: T.tap_contract(a, T.transpose(b, (1, 0)), 1, 2, 2),
      "cg", 1, False),
-    ("gelu", lambda a: T.gelu(a), "g", 0, True),
+    ("gelu", lambda a: T.gelu(a), "g", 0, False),
+    ("slice_softmax", lambda a: T.slice_softmax(a, np.array([[1.0, 0.0, 1.0, 1.0]]), 2.0),
+     "g", 0, False),
     ("mul", lambda a, b: a * b, "gg", 0, True),
     ("div", lambda a, b: a / b, "gg", 1, True),
     ("matmul", lambda a, b: T.matmul(a, T.transpose(b, (1, 0))), "gg", 1, True),
@@ -208,9 +227,9 @@ def test_backward_frees_what_a_node_captured_while_the_tape_is_open():
     with T.tape():
         h = x * 2.0
         ref = weakref.ref(h.data)
-        loss = T.gelu(h).sum()
+        loss = (h * x).sum()
         del h
-        assert ref() is not None       # the gelu vjp reads its input
+        assert ref() is not None       # the mul vjp for x reads h
         grads = T.backward(loss)
         assert ref() is None
     assert grads[x].shape == (12,)

@@ -28,9 +28,9 @@ def test_check(fn, tmp_path, monkeypatch):
     assert len(T.active_tape()) == 0 and not T.active_tape().recording
 
 
-def test_checks_are_25_with_unique_names():
+def test_checks_are_26_with_unique_names():
     names = [name for name, _, _ in vf.CHECKS]
-    assert len(names) == 25 and len(set(names)) == 25
+    assert len(names) == 26 and len(set(names)) == 26
 
 
 def test_run_suite_reports_each_check_and_survives_an_exception(tmp_path, monkeypatch):
@@ -60,6 +60,21 @@ def test_run_suite_catches_corrupted_decode_normalization(tmp_path, monkeypatch)
     ok, results = vf.run_suite(tmp_dir=str(tmp_path))
     assert not ok
     assert not {r.name: r.ok for r in results}["kernel_oracle"]
+
+
+def softmax_over_points(x, mask, scale):
+    return T.softmax(x * scale, axis=-1) * np.asarray(mask, dtype=x.dtype)
+
+
+def softmax_without_mask(x, mask, scale):
+    return T.softmax(x * scale, axis=-2)
+
+
+@pytest.mark.parametrize("wrong", [softmax_over_points, softmax_without_mask])
+def test_slice_softmax_check_catches_a_wrong_axis_or_a_dropped_mask(wrong, monkeypatch):
+    monkeypatch.setattr(T, "slice_softmax", wrong)
+    ok, detail = vf.check_slice_softmax_reference()
+    assert not ok, detail
 
 
 def test_kernel_oracle_check_catches_a_skipped_token_mixer(monkeypatch):
