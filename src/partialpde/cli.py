@@ -1,5 +1,6 @@
 """Command-line interface: data generation, masks, training, evaluation,
-ablations, verification, raster dumps, and the train/test rate matrix.
+ablations (the train/test rate matrix is `ablate --axis rates`),
+verification and raster dumps.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Every artifact
 gets a config echo (resolved flags) written next to it.
@@ -105,9 +106,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     rates = [float(r) for r in args.rates.split(",") if r]
-    rows = ev.evaluate_checkpoint(args.ckpt, args.data, PATTERNS[args.pattern],
-                                  rates, args.patch, seed=args.seed,
-                                  split=args.split)
+    params = md.load_checkpoint(args.ckpt)
+    _, splits = pg.read_dataset(args.data)
+    trajs = splits.get(args.split)
+    if not trajs:
+        raise ev.EvalError(f"dataset has no trajectories in split '{args.split}'")
+    rows = ev.evaluate(params, trajs, PATTERNS[args.pattern], rates, args.patch,
+                       seed=args.seed)
     out = Path(args.out)
     ev.write_rows(out, rows)
     _echo_config(args, out)
@@ -129,7 +134,7 @@ def cmd_ablate(args) -> int:
                      args.out, token_sweep=sweep)
     _echo_config(args, Path(args.out))
     for r in rows:
-        print(f"{r['variant']}: rel L2 {r['mean_rel_l2']:.6f}")
+        print(f"{r['variant']} test {r['test_rate']}: rel L2 {r['mean_rel_l2']:.6f}")
     return 0
 
 
@@ -180,20 +185,6 @@ def _write_pgm(path, img: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(img.tobytes())
-
-
-def cmd_bench_matrix(args) -> int:
-    manifest, splits = pg.read_dataset(args.data)
-    cfg = _model_config(args, manifest.channels)
-    spec = tr.MaskSpec(patch_size=args.patch)
-    tcfg = tr.TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed)
-    rows = tr.bench_matrix(splits, (manifest.h, manifest.w), cfg, spec, tcfg,
-                           args.out)
-    _echo_config(args, Path(args.out))
-    for r in rows:
-        print(f"{r['pattern']} train {r['train_rate']} test {r['test_rate']}: "
-              f"rel L2 {r['mean_rel_l2']:.6f}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,17 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", type=int, default=-1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dump)
-
-    p = sub.add_parser("bench-matrix",
-                       help="full train/test missing-rate grid")
-    p.add_argument("--data", required=True)
-    _add_model_flags(p)
-    p.add_argument("--patch", type=int, default=tr.MaskSpec.patch_size)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench_matrix)
 
     return ap
 

@@ -2,8 +2,8 @@
 rate/pattern grids, CSV rows, and the interpolation-fill reference mode
 (Clough-Tocher cubic interpolation over the observed cells).
 
-The ablation and train/test-rate matrix harnesses train models, so they live
-in `training`, next to `train_on_splits`.
+The ablation harness, whose `rates` axis is the train/test rate matrix,
+trains models, so it lives in `training`, next to `train_on_splits`.
 """
 
 from __future__ import annotations
@@ -46,21 +46,21 @@ def config_fingerprint(cfg: md.ModelConfig) -> str:
     return hashlib.sha256(md.config_to_text(cfg).encode()).hexdigest()[:12]
 
 
-def _first_window_batch(trajs, history):
+def check_one_step_frames(trajs, history: int) -> None:
+    """Refuse trajectories too short for one window and its target."""
     shortest = min(t.t_all for t in trajs)
     if shortest <= history:
         raise EvalError(f"one-step evaluation needs {history + 1} frames per "
                         f"trajectory (history {history} + 1 target); the "
                         f"shortest has {shortest}")
-    frames = np.stack([t.frames[:history] for t in trajs])
-    truths = np.stack([t.frames[history] for t in trajs])
-    return frames, truths
 
 
 def predict_batch(params: md.ModelParams, trajs, masks: np.ndarray):
     """One-step predictions from the first window of each trajectory."""
     history = params.config.history
-    frames, truths = _first_window_batch(trajs, history)
+    check_one_step_frames(trajs, history)
+    frames = np.stack([t.frames[:history] for t in trajs])
+    truths = np.stack([t.frames[history] for t in trajs])
     coords = pg.GridGeometry(*frames.shape[2:4]).coords()
     pred = md.lano_forward(coords, frames, masks, params)
     return pred.data, truths
@@ -113,17 +113,6 @@ def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
             "config_fingerprint": fingerprint,
         })
     return rows
-
-
-def evaluate_checkpoint(checkpoint_path, dataset, pattern, test_rates,
-                        patch_size: int = 4, seed: int = 0,
-                        split: str = "test") -> list:
-    params = md.load_checkpoint(checkpoint_path)
-    _, splits = pg.read_dataset(dataset)
-    trajs = splits.get(split)
-    if not trajs:
-        raise EvalError(f"dataset has no trajectories in split '{split}'")
-    return evaluate(params, trajs, pattern, test_rates, patch_size, seed)
 
 
 # -- cubic interpolation fill -----------------------------------------------------

@@ -2,10 +2,10 @@
 artificial-mask input augmentation with a consistency term, AdamW, and a
 one-cycle learning-rate schedule.
 
-The ablation and train/test-rate matrix harnesses (`ablate`, `bench_matrix`)
-live here too: each of their runs is one `train_on_splits` call with a
-`MaskSpec` and a `TrainConfig`, scored on the test split by
-`evaluation.evaluate`.
+The experiment harness `ablate` lives here too.  Each of its variants is one
+`train_on_splits` call with its own model config, `TrainConfig` and
+`MaskSpec`, scored on the test split by `evaluation.evaluate`; its `rates`
+axis is the train/test missing-rate matrix.
 """
 
 from __future__ import annotations
@@ -223,8 +223,10 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
             if got != want:
                 raise ValueError(f"{split} trajectory {j} has frames of shape {got}, "
                                  f"train trajectory 0 has {want}")
-
     history = model_cfg.history
+    if val:
+        ev.check_one_step_frames(val, history)
+
     t_all = train[0].t_all
     pairs = make_pairs(len(train), t_all, history)
     coords = pg.GridGeometry(gh, gw).coords()
@@ -325,72 +327,61 @@ def _train_step(params, state, coords, frames, targets, mask_objs,
 
 # -- ablations and the rate matrix ---------------------------------------------------
 
-ABLATION_AXES = ("tokens", "components", "mixer")
+ABLATION_AXES = ("tokens", "components", "mixer", "rates")
 TOKEN_SWEEP = (1, 8, 16, 32, 64)
 RATE_MATRIX = ((0.05, (0.05, 0.25)), (0.25, (0.25, 0.50)), (0.50, (0.50, 0.75)))
 # every harness run scores the test split under the same seeded masks
 HARNESS_TEST_SEED = 1234
 
 
-def _train_and_eval(splits, grid_hw, model_cfg, mask_spec: MaskSpec,
-                    train_cfg: TrainConfig, out_dir, test_rates) -> list:
+def ablate(splits, grid_hw, base_cfg: md.ModelConfig, axis: str,
+           mask_spec: MaskSpec, train_cfg: TrainConfig, out_dir,
+           token_sweep=None) -> list:
+    """Train one variant per point of `axis` and score each on the test split.
+    The `rates` axis is the train/test rate grid: each train rate of
+    `RATE_MATRIX` tested at itself and one step higher, for both missing
+    patterns; it uses only the patch size of `mask_spec`."""
+    if axis not in ABLATION_AXES:
+        raise ev.EvalError(f"unknown ablation axis {axis!r}; "
+                           f"choose from {ABLATION_AXES}")
     test = splits.get("test")
     if not test:
         # validation chose the checkpoint, so it cannot also score it
         raise ev.EvalError("the harness scores on the 'test' split, "
                            "and the dataset has none")
-    res = train_on_splits(splits, grid_hw, mask_spec, model_cfg, train_cfg, out_dir)
-    params = md.load_checkpoint(res.checkpoint_path)
-    return ev.evaluate(params, test, mask_spec.pattern, test_rates,
-                       mask_spec.patch_size, seed=HARNESS_TEST_SEED)
-
-
-def ablate(splits, grid_hw, base_cfg: md.ModelConfig, axis: str,
-           mask_spec: MaskSpec, train_cfg: TrainConfig, out_dir,
-           token_sweep=None) -> list:
-    """Train/evaluate one configuration per point on the requested axis."""
-    if axis not in ABLATION_AXES:
-        raise ev.EvalError(f"unknown ablation axis {axis!r}; "
-                           f"choose from {ABLATION_AXES}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    ev.check_one_step_frames(test, base_cfg.history)
+    one = (mask_spec, [mask_spec.missing_rate])
     if axis == "tokens":
-        variants = [(f"tokens_{n}", replace(base_cfg, latent_tokens=n), train_cfg)
+        variants = [(f"tokens_{n}", replace(base_cfg, latent_tokens=n), train_cfg, *one)
                     for n in (token_sweep or TOKEN_SWEEP)]
     elif axis == "components":
         variants = [
-            ("full", base_cfg, train_cfg),
-            ("wo_bf", replace(base_cfg, boundary_first=False), train_cfg),
-            ("wo_tm", replace(base_cfg, token_mixer="none"), train_cfg),
-            ("wo_mpt", base_cfg, replace(train_cfg, mpt_enabled=False)),
+            ("full", base_cfg, train_cfg, *one),
+            ("wo_bf", replace(base_cfg, boundary_first=False), train_cfg, *one),
+            ("wo_tm", replace(base_cfg, token_mixer="none"), train_cfg, *one),
+            ("wo_mpt", base_cfg, replace(train_cfg, mpt_enabled=False), *one),
         ]
-    else:
-        variants = [(f"mixer_{m}", replace(base_cfg, token_mixer=m), train_cfg)
+    elif axis == "mixer":
+        variants = [(f"mixer_{m}", replace(base_cfg, token_mixer=m), train_cfg, *one)
                     for m in ("mlp", "attention")]
+    else:
+        variants = [(f"{p}_{int(r * 100):02d}", base_cfg, train_cfg,
+                     replace(mask_spec, pattern=p, missing_rate=r), test_rates)
+                    for p in (mk.POINTWISE, mk.PATCHWISE)
+                    for r, test_rates in RATE_MATRIX]
+    names = [name for name, *_ in variants]
+    if len(set(names)) < len(names):
+        raise ev.EvalError(f"variant names repeat in {names}; each variant trains "
+                           "into its own directory")
 
-    rows = []
-    for name, cfg, tcfg in variants:
-        row, = _train_and_eval(splits, grid_hw, cfg, mask_spec, tcfg, out / name,
-                               [mask_spec.missing_rate])
-        rows.append({**row, "variant": name})
-    ev.write_rows(out / "ablation.csv", rows)
-    return rows
-
-
-def bench_matrix(splits, grid_hw, base_cfg: md.ModelConfig, mask_spec: MaskSpec,
-                 train_cfg: TrainConfig, out_dir) -> list:
-    """The train/test rate grid: three train rates, each tested at its own
-    rate and one step higher, for both missing patterns (12 cells).  Only the
-    patch size of `mask_spec` is used."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for pattern in (mk.POINTWISE, mk.PATCHWISE):
-        for train_rate, test_rates in RATE_MATRIX:
-            spec = replace(mask_spec, pattern=pattern, missing_rate=train_rate)
-            tag = f"{pattern}_{int(train_rate * 100):02d}"
-            rows += [{**r, "train_rate": train_rate}
-                     for r in _train_and_eval(splits, grid_hw, base_cfg, spec,
-                                              train_cfg, out / tag, test_rates)]
-    ev.write_rows(out / "bench_matrix.csv", rows)
+    for name, cfg, tcfg, spec, test_rates in variants:
+        res = train_on_splits(splits, grid_hw, spec, cfg, tcfg, out / name)
+        params = md.load_checkpoint(res.checkpoint_path)
+        rows += [{**r, "variant": name, "train_rate": spec.missing_rate}
+                 for r in ev.evaluate(params, test, spec.pattern, test_rates,
+                                      spec.patch_size, seed=HARNESS_TEST_SEED)]
+    ev.write_rows(out / "ablation.csv", rows)
     return rows

@@ -115,23 +115,40 @@ def test_cli_ablate_components_turns_off_mpt_only_for_wo_mpt(tmp_path, capsys,
     assert [spec for _, spec, _ in calls] == [tr.MaskSpec(mk.PATCHWISE, 0.25, 4)] * 4
 
 
-def test_cli_bench_matrix_writes_every_cell(tmp_path, capsys, monkeypatch):
+def test_cli_ablate_rates_writes_every_cell(tmp_path, capsys, monkeypatch):
     calls = record_training(monkeypatch)
-    code, err = run(capsys, "bench-matrix", "--data", small_dataset(tmp_path),
-                    *TINY_MODEL, "--epochs", 1, "--out", tmp_path / "bm")
+    code, err = run(capsys, "ablate", "--axis", "rates", "--data",
+                    small_dataset(tmp_path), *TINY_MODEL, "--epochs", 1,
+                    "--out", tmp_path / "ab")
     assert code == 0 and err == []
-    rows = read_csv(tmp_path / "bm" / "bench_matrix.csv")
+    rows = read_csv(tmp_path / "ab" / "ablation.csv")
     cells = [(r["pattern"], float(r["train_rate"]), float(r["test_rate"]))
              for r in rows]
     assert cells == [(p, train, test) for p in (mk.POINTWISE, mk.PATCHWISE)
                      for train, tests in tr.RATE_MATRIX for test in tests]
     assert len(cells) == 12
-    assert [(spec.pattern, spec.missing_rate) for _, spec, _ in calls] == \
-        [(p, train) for p in (mk.POINTWISE, mk.PATCHWISE)
-         for train, _ in tr.RATE_MATRIX]
+    runs = [(p, train) for p in (mk.POINTWISE, mk.PATCHWISE)
+            for train, _ in tr.RATE_MATRIX]
+    assert [(spec.pattern, spec.missing_rate) for _, spec, _ in calls] == runs
+    assert [name for name, _, _ in calls] == \
+        [f"{p}_{int(train * 100):02d}" for p, train in runs]
+    assert [r["variant"] for r in rows] == [name for name, _, _ in calls
+                                            for _ in range(2)]
 
 
-@pytest.mark.parametrize("command", [["ablate", "--axis", "mixer"], ["bench-matrix"]])
+def test_cli_ablate_of_a_repeated_token_size_is_an_error(tmp_path, capsys, monkeypatch):
+    # both runs would train into one directory, the second overwriting the first
+    calls = record_training(monkeypatch)
+    code, err = run(capsys, "ablate", "--axis", "tokens", "--token-sweep", "8,8",
+                    "--data", small_dataset(tmp_path), *TINY_MODEL, "--epochs", 1,
+                    "--out", tmp_path / "ab")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "tokens_8" in err[0]
+    assert calls == [] and not (tmp_path / "ab").exists()
+
+
+@pytest.mark.parametrize("command", [["ablate", "--axis", "mixer"],
+                                     ["ablate", "--axis", "rates"]])
 def test_cli_harness_without_a_test_split_is_an_error(tmp_path, capsys,
                                                       monkeypatch, command):
     calls = record_training(monkeypatch)
@@ -209,12 +226,14 @@ def test_cli_dataset_without_a_train_split_is_an_error(tmp_path, capsys, command
 
 
 def test_cli_eval_of_an_empty_split_is_an_error(tmp_path, capsys):
-    code, err = run(capsys, "eval", "--ckpt", tiny_checkpoint(tmp_path),
-                    "--data", small_dataset(tmp_path, val=0), "--split", "val",
-                    "--out", tmp_path / "e.csv")
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error:") and "'val'" in err[0]
-    assert not (tmp_path / "e.csv").exists()
+    # the dataset has an empty 'val' split and no 'train2' split
+    ckpt, ds = tiny_checkpoint(tmp_path), small_dataset(tmp_path, val=0)
+    for split in ("val", "train2"):
+        code, err = run(capsys, "eval", "--ckpt", ckpt, "--data", ds,
+                        "--split", split, "--out", tmp_path / "e.csv")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and f"'{split}'" in err[0]
+        assert not (tmp_path / "e.csv").exists()
 
 
 @pytest.mark.parametrize("frame, code, name", [

@@ -70,24 +70,10 @@ def test_importing_the_cli_leaves_interpolation_modules_unloaded():
             "'scipy.spatial', 'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, str(src)],
                          capture_output=True, text=True, check=True)
-    # evaluation must not import training: the harnesses that train live in training.
+    # evaluation must not import training: the harness that trains lives in training.
     # The cli imports verify, as every benchmark workload does; gelu and verify's
     # references load scipy.special on first use
     assert out.stdout.split() == ["False", "[]"]
-
-
-@pytest.mark.parametrize("split", ["val", "train2"])
-def test_evaluate_checkpoint_rejects_an_empty_or_missing_split(tmp_path, split):
-    grid = pg.GridGeometry(8, 8)
-    traj = lambda s: pg.solve_diffusion_reaction(grid, seed=s, t_steps=3, dt=0.02)
-    pg.write_dataset({"train": [traj(0)], "val": [], "test": [traj(1)]},
-                     tmp_path / "ds")
-    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
-                         history=2, phys_channels=2, mlp_ratio=1.0)
-    md.save_checkpoint(md.ModelParams(cfg, seed=0), tmp_path / "m.pobw")
-    with pytest.raises(ev.EvalError, match=f"split '{split}'"):
-        ev.evaluate_checkpoint(tmp_path / "m.pobw", tmp_path / "ds", mk.PATCHWISE,
-                               [0.25], split=split)
 
 
 def test_predict_batch_takes_a_uint8_mask_as_is():

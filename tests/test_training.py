@@ -289,6 +289,22 @@ def test_train_on_splits_rejects_a_val_trajectory_with_other_channels(tmp_path):
     assert not (tmp_path / "run" / "model.pobw").exists()
 
 
+def test_train_on_splits_refuses_a_val_split_too_short_to_score_before_any_step(
+        tmp_path, monkeypatch):
+    # val trajectories may be shorter than train ones, but scoring needs a
+    # window of `history` frames and its target
+    steps = []
+    monkeypatch.setattr(tr, "_train_step", lambda *args: steps.append(args) or 0.0)
+    splits = tiny_dataset(n_train=1, n_val=0, t_steps=6)
+    splits["val"] = tiny_dataset(n_train=1, n_val=0, t_steps=3, seed0=100)["train"]
+    with pytest.raises(ev.EvalError, match="needs 4 frames"):
+        tr.train_on_splits(splits, (8, 8), tr.MaskSpec(mk.PATCHWISE, 0.25, 4),
+                           tiny_model_cfg(history=3),
+                           tr.TrainConfig(epochs=1, batch_size=4), tmp_path / "run")
+    assert steps == []
+    assert not list((tmp_path / "run").iterdir())
+
+
 def test_train_runs_and_writes_artifacts(tmp_path):
     splits = tiny_dataset()
     cfg = tiny_model_cfg()
@@ -577,3 +593,48 @@ def test_mpt_training_at_a_high_patch_rate_never_feeds_an_empty_mask(tmp_path):
 def test_train_rejects_short_trajectories():
     with pytest.raises(ValueError):
         tr.make_pairs(2, t_all=3, history=3)
+
+
+# -- the experiment harness ------------------------------------------------------------
+
+def fake_training(monkeypatch, tmp_path):
+    """Make every training run return one untrained tiny checkpoint; the
+    returned list records each run's directory name."""
+    ckpt = tmp_path / "m.pobw"
+    md.save_checkpoint(md.ModelParams(tiny_model_cfg(), seed=0), ckpt)
+    names = []
+
+    def fake(splits, grid_hw, mask_spec, model_cfg, train_cfg, out_dir):
+        names.append(out_dir.name)
+        return tr.TrainResult(ckpt, tmp_path / "metrics.csv", 0.0, 0.0)
+
+    monkeypatch.setattr(tr, "train_on_splits", fake)
+    return names
+
+
+def harness_splits(test_steps=4):
+    splits = tiny_dataset(n_train=1, n_val=1)
+    splits["test"] = tiny_dataset(n_train=1, n_val=0, t_steps=test_steps,
+                                  seed0=200)["train"]
+    return splits
+
+
+@pytest.mark.parametrize("axis", tr.ABLATION_AXES)
+def test_ablation_variant_names_are_unique(tmp_path, monkeypatch, axis):
+    # each variant trains into the directory its name gives
+    names = fake_training(monkeypatch, tmp_path)
+    rows = tr.ablate(harness_splits(), (8, 8), tiny_model_cfg(), axis,
+                     tr.MaskSpec(mk.PATCHWISE, 0.25, 4), tr.TrainConfig(epochs=1),
+                     tmp_path / "ab")
+    assert len(names) == len(set(names)) > 1
+    assert sorted({r["variant"] for r in rows}) == sorted(names)
+
+
+def test_ablate_refuses_a_test_split_too_short_to_score_before_any_training(
+        tmp_path, monkeypatch):
+    names = fake_training(monkeypatch, tmp_path)
+    with pytest.raises(ev.EvalError, match="needs 3 frames"):
+        tr.ablate(harness_splits(test_steps=2), (8, 8), tiny_model_cfg(), "mixer",
+                  tr.MaskSpec(mk.PATCHWISE, 0.25, 4), tr.TrainConfig(epochs=1),
+                  tmp_path / "ab")
+    assert names == []
