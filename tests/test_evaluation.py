@@ -76,6 +76,27 @@ def test_importing_the_cli_leaves_interpolation_modules_unloaded():
     assert out.stdout.split() == ["False", "[]"]
 
 
+@pytest.mark.parametrize("split", ["val", "train2"])
+def test_evaluate_checkpoint_rejects_an_empty_or_missing_split(tmp_path, split):
+    # checkpoint evaluation is the cli's `eval` command
+    from partialpde import cli
+
+    grid = pg.GridGeometry(8, 8)
+    traj = lambda s: pg.solve_diffusion_reaction(grid, seed=s, t_steps=3, dt=0.02)
+    pg.write_dataset({"train": [traj(0)], "val": [], "test": [traj(1)]},
+                     tmp_path / "ds")
+    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
+                         history=2, phys_channels=2, mlp_ratio=1.0)
+    md.save_checkpoint(md.ModelParams(cfg, seed=0), tmp_path / "m.pobw")
+    args = cli.build_parser().parse_args(
+        ["eval", "--ckpt", str(tmp_path / "m.pobw"), "--data", str(tmp_path / "ds"),
+         "--pattern", "patch", "--rates", "0.25", "--split", split,
+         "--out", str(tmp_path / "e.csv")])
+    with pytest.raises(ev.EvalError, match=f"split '{split}'"):
+        cli.cmd_eval(args)
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_predict_batch_takes_a_uint8_mask_as_is():
     # callers pass ObservationMask grids uncast; the model casts them
     grid = pg.GridGeometry(8, 8)
