@@ -81,7 +81,7 @@ def trajectory_errors(params: md.ModelParams, trajs, masks: np.ndarray) -> list:
 
 def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
              patch_size: int = 4, seed: int = 0) -> list:
-    """Fresh seeded masks per (rate, trajectory); full-domain relative L2.
+    """Seeded masks per (rate, trajectory); full-domain relative L2.
 
     Returns one row dict per requested test rate; rows carry the mean and
     per-trajectory spread of the error and the model's config fingerprint.
@@ -90,6 +90,8 @@ def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
         raise EvalError("no trajectories to evaluate")
     if not test_rates:
         raise EvalError("no test rates to evaluate")
+    if not all(0.0 <= rate < 1.0 for rate in test_rates):
+        raise EvalError(f"test rates must be in [0, 1), got {list(test_rates)}")
     _, h, w, _ = trajs[0].frames.shape
     for j, traj in enumerate(trajs):
         if traj.frames.shape[1:3] != (h, w):
@@ -97,10 +99,12 @@ def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
                             f"{traj.frames.shape[2]} grid, trajectory 0 on {h}x{w}")
     fingerprint = config_fingerprint(params.config)
     rows = []
-    for ri, rate in enumerate(test_rates):
+    for rate in test_rates:
+        # the rate, not its place in test_rates, seeds the masks, so every
+        # model scored at one rate sees the same holes
         masks = np.stack([
-            mk.gen_mask(pattern, h, w, rate,
-                        seed=mk.derived_seed(seed, ri, j), patch_size=patch_size).grid
+            mk.gen_mask(pattern, h, w, rate, patch_size=patch_size,
+                        seed=mk.derived_seed(seed, round(rate * 10**6), j)).grid
             for j in range(len(trajs))])
         errs = trajectory_errors(params, trajs, masks)
         rows.append({

@@ -388,7 +388,7 @@ def phlp_branch(y_norm: Tensor, mask: np.ndarray, params: ModelParams,
 
 
 def _affine_layernorm(y: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    return T.layernorm(y, axis=-1) * params[prefix + "_g"] + params[prefix + "_b"]
+    return T.layernorm(y) * params[prefix + "_g"] + params[prefix + "_b"]
 
 
 def latent_operator_layer(y: Tensor, mask: np.ndarray, params: ModelParams,

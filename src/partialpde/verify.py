@@ -129,6 +129,40 @@ def check_slice_softmax_reference():
         f"column-loop dev {err:.2e}, vjp vs central differences {fd_err:.2e}"
 
 
+def check_gelu_layernorm_reference():
+    """GELU against its tanh formula and, within 5e-4, scipy's exact GELU;
+    the layer norm against a two-pass numpy reference over the last axis;
+    both vjps against central differences."""
+    from scipy.special import erf
+    rng = np.random.default_rng(4)
+    x = np.concatenate([np.linspace(-6.0, 6.0, 241), rng.normal(size=15) * 3])
+    got = T.gelu(Tensor(x)).data
+    formula_dev = np.abs(got - _np_gelu(x)).max()
+    exact_dev = np.abs(got - 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))).max()
+
+    a = rng.normal(size=(3, 4, 6)) * 2.0 + 1.0
+    mu = a.mean(axis=-1, keepdims=True)
+    var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
+    ln_dev = np.abs(T.layernorm(Tensor(a)).data - (a - mu) / np.sqrt(var + 1e-5)).max()
+
+    fd_err = 0.0
+    for fn, arr in ((T.gelu, x[::8].copy()), (T.layernorm, a.copy())):
+        r = rng.normal(size=arr.shape)
+        xt = Tensor(arr, requires_grad=True)
+
+        def inner():
+            return (fn(xt) * r).sum()
+
+        with T.tape():
+            an = T.backward(inner())[xt].reshape(-1)
+        fd = _fd_grad(lambda: float(inner().data), xt.data, range(arr.size))
+        fd_err = max(fd_err, np.abs(fd - an).max() / max(np.abs(fd).max(), 1e-8))
+    ok = formula_dev < 1e-12 and exact_dev < 5e-4 and ln_dev < 1e-12 and fd_err < 1e-6
+    return ok, (f"gelu vs tanh formula {formula_dev:.2e}, vs exact {exact_dev:.2e}; "
+                f"layernorm vs two-pass {ln_dev:.2e}; vjps vs central "
+                f"differences {fd_err:.2e}")
+
+
 # -- solver checks ------------------------------------------------------------------
 
 def check_ns_viscous_decay():
@@ -287,8 +321,8 @@ class KernelOracleResult:
 
 
 def _np_gelu(x):
-    from scipy.special import erf
-    return x * 0.5 * (1.0 + erf(x * 0.7071067811865476))
+    """GELU's tanh form, as the model uses it."""
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
 
 
 def _np_depthwise_conv(x, w):
@@ -619,6 +653,7 @@ CHECKS = [
     ("mlp_gradient_fd", "tensor", check_mlp_gradient_fd),
     ("softmax_probability_rows", "tensor", check_softmax_probability_rows),
     ("slice_softmax_reference", "tensor", check_slice_softmax_reference),
+    ("gelu_layernorm_reference", "tensor", check_gelu_layernorm_reference),
     ("ns_viscous_decay", "pdegen", check_ns_viscous_decay),
     ("ns_mean_conservation", "pdegen", check_ns_mean_conservation),
     ("dr_mean_conservation", "pdegen", check_dr_mean_conservation),

@@ -39,9 +39,10 @@ def test_evaluate_runs_one_forward_per_trajectory_and_rate(monkeypatch):
 
     assert calls == [[t] for _ in rates for t in trajs]
     assert len(rows) == len(rates)
-    for ri, (rate, row) in enumerate(zip(rates, rows)):
+    for rate, row in zip(rates, rows):
         masks = np.stack([
-            mk.gen_mask(mk.POINTWISE, 8, 8, rate, seed=mk.derived_seed(seed, ri, j)).grid
+            mk.gen_mask(mk.POINTWISE, 8, 8, rate,
+                        seed=mk.derived_seed(seed, round(rate * 10**6), j)).grid
             for j in range(len(trajs))])
         preds, truths = ev.predict_batch(params, trajs, masks)
         errs = [ev.relative_l2(preds[j], truths[j]) for j in range(len(trajs))]
@@ -49,6 +50,33 @@ def test_evaluate_runs_one_forward_per_trajectory_and_rate(monkeypatch):
         assert row["std_rel_l2"] == float(np.std(errs))
         assert row["n_samples"] == len(trajs)
         assert row["config_fingerprint"] == ev.config_fingerprint(cfg)
+
+
+def test_one_test_rate_scores_the_same_holes_in_any_list_of_rates():
+    # the rates axis of `ablate` scores each variant at its own list of test
+    # rates; a shared rate must give every variant the same masks
+    grid = pg.GridGeometry(16, 16)
+    trajs = [pg.solve_navier_stokes(grid, seed=s, t_steps=3, dt=0.05)
+             for s in range(2)]
+    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2,
+                         history=2, phys_channels=1, mlp_ratio=1.0)
+    params = md.ModelParams(cfg, seed=0)
+    params["L0.merge_w"].data = np.random.default_rng(1).normal(
+        size=(8, 8)).astype(np.float32)
+    low = ev.evaluate(params, trajs, mk.POINTWISE, [0.05, 0.25], seed=1234)
+    high = ev.evaluate(params, trajs, mk.POINTWISE, [0.25, 0.5], seed=1234)
+    assert low[1]["test_rate"] == high[0]["test_rate"] == 0.25
+    assert low[1] == high[0]
+    assert low[0]["mean_rel_l2"] != high[1]["mean_rel_l2"]
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0, float("nan")])
+def test_evaluate_rejects_a_test_rate_outside_0_1(rate):
+    grid = pg.GridGeometry(8, 8)
+    trajs = [pg.solve_navier_stokes(grid, seed=0, t_steps=3, dt=0.05)]
+    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2, history=2)
+    with pytest.raises(ev.EvalError, match="test rates must be in"):
+        ev.evaluate(md.ModelParams(cfg, seed=0), trajs, mk.POINTWISE, [0.25, rate])
 
 
 def test_evaluate_rejects_trajectories_on_different_grids():
@@ -71,7 +99,7 @@ def test_importing_the_cli_leaves_interpolation_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code, str(src)],
                          capture_output=True, text=True, check=True)
     # evaluation must not import training: the harness that trains lives in training.
-    # The cli imports verify, as every benchmark workload does; gelu and verify's
+    # The cli imports verify, as every benchmark workload does; verify's
     # references load scipy.special on first use
     assert out.stdout.split() == ["False", "[]"]
 

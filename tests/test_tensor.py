@@ -1,5 +1,9 @@
 import ast
 import contextlib
+import subprocess
+import sys
+import tracemalloc
+import warnings
 import weakref
 import zlib
 from pathlib import Path
@@ -52,6 +56,57 @@ def test_slice_softmax_rejects_mismatched_shapes_and_records_nothing(x_shape, ma
 def test_layernorm_constant_vector_is_zero():
     y = T.layernorm(Tensor([2.5, 2.5, 2.5, 2.5]))
     assert np.all(y.data == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_saturates_without_a_warning_for_huge_inputs(dtype):
+    # tanh's argument grows as x^3: a float32 |x| past ~1.8e19 squares to
+    # inf, and an inf derivative factor times 1 - t^2 = 0 would give NaN
+    x = np.array([12.0, -12.0, 1e20, -1e20, 3e38, -3e38], dtype=dtype)
+    want_y = np.where(x > 0, x, 0.0).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = T.gelu(Tensor(x)).data
+        xt = Tensor(x, requires_grad=True)
+        with T.tape():
+            yt = T.gelu(xt)
+            d = T.backward(yt.sum())[xt]
+    for out in (y, yt.data):
+        assert out.dtype == dtype and np.array_equal(out, want_y)
+    assert np.array_equal(d, (x > 0).astype(dtype))
+
+
+def test_gelu_outside_a_tape_allocates_one_array_of_its_input_size():
+    # a tanh GELU that allocated a second array of x's size took 3.3k minor
+    # page faults per 64x64 inference request, against about 1 with one
+    # array, and lost most of its speed-up to them
+    x = Tensor(np.random.default_rng(0).normal(size=(64, 4096)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        y = T.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert y.data.nbytes == x.data.nbytes
+    assert peak <= x.data.nbytes + 64 * 1024, peak
+
+
+def test_tensor_loads_no_scipy():
+    src = Path(T.__file__).resolve().parents[1]
+    code = "\n".join([
+        "import sys; sys.path.insert(0, sys.argv[1])",
+        "import numpy as np",
+        "from partialpde import tensor as T",
+        "x = T.Tensor(np.linspace(-3.0, 3.0, 7), requires_grad=True)",
+        "T.gelu(x)",
+        "with T.tape():",
+        "    T.backward(T.gelu(x).sum())",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_matmul_shape_error_names_primitive():

@@ -28,9 +28,9 @@ def test_check(fn, tmp_path, monkeypatch):
     assert len(T.active_tape()) == 0 and not T.active_tape().recording
 
 
-def test_checks_are_26_with_unique_names():
+def test_checks_are_27_with_unique_names():
     names = [name for name, _, _ in vf.CHECKS]
-    assert len(names) == 26 and len(set(names)) == 26
+    assert len(names) == 27 and len(set(names)) == 27
 
 
 def test_run_suite_reports_each_check_and_survives_an_exception(tmp_path, monkeypatch):
@@ -74,6 +74,29 @@ def softmax_without_mask(x, mask, scale):
 def test_slice_softmax_check_catches_a_wrong_axis_or_a_dropped_mask(wrong, monkeypatch):
     monkeypatch.setattr(T, "slice_softmax", wrong)
     ok, detail = vf.check_slice_softmax_reference()
+    assert not ok, detail
+
+
+def erf_gelu(x):
+    from scipy.special import erf
+    phi = 0.5 * (1.0 + erf(x.data / np.sqrt(2.0)))
+    d = phi + x.data * np.exp(-0.5 * x.data ** 2) / np.sqrt(2.0 * np.pi)
+    return T._make(x.data * phi, (x, lambda g: g * d))
+
+
+def layernorm_over_c_minus_1(x, eps=1e-5, layernorm=T.layernorm):
+    # (x - mean) / sqrt(var * C / (C - 1) + eps): the unbiased variance
+    var = x.data.var(axis=-1, keepdims=True)
+    unbiased = x.data.var(axis=-1, ddof=1, keepdims=True)
+    return layernorm(x, eps) * np.sqrt((var + eps) / (unbiased + eps))
+
+
+@pytest.mark.parametrize("name,wrong", [("gelu", erf_gelu),
+                                        ("layernorm", layernorm_over_c_minus_1)])
+def test_gelu_layernorm_check_catches_an_erf_gelu_or_an_unbiased_variance(
+        name, wrong, monkeypatch):
+    monkeypatch.setattr(T, name, wrong)
+    ok, detail = vf.check_gelu_layernorm_reference()
     assert not ok, detail
 
 
