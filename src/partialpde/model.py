@@ -27,6 +27,10 @@ propagated mask:
 Without boundary_first the maps are not propagated and num = S^T @ Z1.
 `pconv_propagate` computes f and obs from the mask alone; `phca_decode`
 does the rest with one `tensor.tap_contract` per layer.
+
+Parameters are stored in the layouts the forward reads: slice_b2 and
+pconv_b (H, L, 1); pconv_w (H, k*k, 1, L), tap-major, tap t = i*k + j at
+grid offset (i - k//2, j - k//2) as in `tensor.tap_contract`.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"POBW"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 MIXERS = ("attention", "mlp", "none")
 EPS = 1e-6      # keeps each token's aggregation weights from dividing by zero
@@ -110,7 +114,12 @@ class ModelConfig:
 
 
 def _param_specs(cfg: ModelConfig):
-    """Yield (name, shape, init) triples in checkpoint declaration order."""
+    """Yield (name, shape, init) triples in checkpoint declaration order.
+
+    Shapes are the layouts the forward reads (module docstring): pconv_w is
+    tap-major, tap t = i*k + j at offset (i - k//2, j - k//2).  slice_w2 keeps
+    (H, C_h, L), the order its fan-in uniform init is drawn in.
+    """
     c, h, ch, l, k = (cfg.channels, cfg.heads, cfg.head_dim,
                       cfg.latent_tokens, cfg.pconv_kernel)
     yield from [("embed.w", (cfg.embed_width, c), ("fanin", cfg.embed_width)),
@@ -118,17 +127,17 @@ def _param_specs(cfg: ModelConfig):
     for i in range(cfg.layers):
         p = f"L{i}."
         yield from [
-            (p + "ln1_g", (c,), ("ones",)),
-            (p + "ln1_b", (c,), ("zeros",)),
+            (p + "ln1_g", (c,), ("const", 1.0)),
+            (p + "ln1_b", (c,), ("const", 0.0)),
             (p + "slice_w1", (h, ch, ch), ("fanin", ch)),
             (p + "slice_b1", (h, 1, ch), ("fanin", ch)),
             (p + "slice_w2", (h, ch, l), ("fanin", ch)),
-            (p + "slice_b2", (h, 1, l), ("fanin", ch)),
+            (p + "slice_b2", (h, l, 1), ("fanin", ch)),
         ]
         if cfg.boundary_first:
             yield from [
-                (p + "pconv_w", (h * l, k, k), ("pconv_avg",)),
-                (p + "pconv_b", (h * l,), ("zeros",)),
+                (p + "pconv_w", (h, k * k, 1, l), ("const", 1.0 / (k * k))),
+                (p + "pconv_b", (h, l, 1), ("const", 0.0)),
             ]
         if cfg.token_mixer == "attention":
             yield from [(p + n, (h, ch, ch), ("fanin", ch))
@@ -141,10 +150,10 @@ def _param_specs(cfg: ModelConfig):
                 (p + "mix_b2", (l,), ("fanin", l)),
             ]
         yield from [
-            (p + "merge_w", (c, c), ("zeros",)),   # zero init: layer starts as identity
-            (p + "merge_b", (c,), ("zeros",)),
-            (p + "ln2_g", (c,), ("ones",)),
-            (p + "ln2_b", (c,), ("zeros",)),
+            (p + "merge_w", (c, c), ("const", 0.0)),   # zero init: layer starts as identity
+            (p + "merge_b", (c,), ("const", 0.0)),
+            (p + "ln2_g", (c,), ("const", 1.0)),
+            (p + "ln2_b", (c,), ("const", 0.0)),
             (p + "mlp_w1", (c, cfg.mlp_hidden), ("fanin", c)),
             (p + "mlp_b1", (cfg.mlp_hidden,), ("fanin", c)),
             (p + "mlp_w2", (cfg.mlp_hidden, c), ("fanin", cfg.mlp_hidden)),
@@ -161,17 +170,12 @@ class ModelParams:
         self.config = config
         rng = np.random.default_rng(seed)
         self._params: dict[str, Tensor] = {}
-        k = config.pconv_kernel
         for name, shape, init in _param_specs(config):
-            if init[0] == "zeros":
-                arr = np.zeros(shape)
-            elif init[0] == "ones":
-                arr = np.ones(shape)
-            elif init[0] == "pconv_avg":
-                arr = np.full(shape, 1.0 / (k * k))
-            else:
+            if init[0] == "fanin":
                 bound = 1.0 / np.sqrt(init[1])
                 arr = rng.uniform(-bound, bound, size=shape)
+            else:
+                arr = np.full(shape, init[1])
             self._params[name] = Tensor(arr.astype(dtype), requires_grad=True)
 
     def __getitem__(self, name: str) -> Tensor:
@@ -260,7 +264,7 @@ def phca_encode(yh: Tensor, mask: np.ndarray, params: ModelParams, layer: int):
     hidden = T.gelu(T.matmul(yh, params[p + "slice_w1"]) + params[p + "slice_b1"])
     logits = T.matmul(T.transpose(params[p + "slice_w2"], (0, 2, 1)),
                       T.transpose(hidden, (0, 1, 3, 2))) \
-        + T.transpose(params[p + "slice_b2"], (0, 2, 1))       # (B, H, L, N)
+        + params[p + "slice_b2"]                                # (B, H, L, N)
     s = T.slice_softmax(logits, mask[:, None, None, :], 1.0 / cfg.temperature)
     denom = s.sum(axis=-1, keepdims=True) + EPS                 # (B, H, L, 1)
     z = T.matmul(s, yh) / denom
@@ -325,27 +329,6 @@ def token_mix(z: Tensor, params: ModelParams, layer: int) -> Tensor:
     return T.transpose(out, (0, 1, 3, 2))
 
 
-def _fused_numerator(z_mixed: Tensor, s: Tensor, factor, mask_next,
-                     params: ModelParams, layer: int, gh: int, gw: int) -> Tensor:
-    """The decode numerator num of the module docstring: (B, H, C_h+1, N)."""
-    cfg = params.config
-    b, h, l, ch = z_mixed.shape
-    dtype = z_mixed.dtype
-    ones = Tensor(np.ones((b, h, l, 1), dtype=dtype))
-    z1t = T.transpose(T.concat([z_mixed, ones], axis=-1), (0, 1, 3, 2))  # (B,H,C_h+1,L)
-    if not cfg.boundary_first:
-        return T.matmul(z1t, s)
-    k = cfg.pconv_kernel
-    p = f"L{layer}."
-    w = T.transpose(T.reshape(params[p + "pconv_w"], (h, l, k * k)), (0, 2, 1))
-    wz = T.reshape(T.reshape(w, (h, k * k, 1, l)) * T.reshape(z1t, (b, h, 1, ch + 1, l)),
-                   (b, h, k * k * (ch + 1), l))                  # tap-major
-    bz = T.matmul(z1t, T.reshape(params[p + "pconv_b"], (h, l, 1)))     # (B, H, C_h+1, 1)
-    f = Tensor(factor[:, None, None, :].astype(dtype))
-    obs = Tensor(mask_next[:, None, None, :].astype(dtype))
-    return T.tap_contract(s, wz, k, gh, gw) * f + bz * obs
-
-
 def phca_decode(z_mixed: Tensor, s: Tensor, mask: np.ndarray,
                 params: ModelParams, layer: int, gh: int, gw: int):
     """Propagate boundary-first, then de-aggregate tokens to every grid point.
@@ -360,17 +343,27 @@ def phca_decode(z_mixed: Tensor, s: Tensor, mask: np.ndarray,
     to zero or below.
     """
     cfg = params.config
+    p = f"L{layer}."
+    (b, h, l, ch), dtype = z_mixed.shape, z_mixed.dtype
+    ones = Tensor(np.ones((b, h, l, 1), dtype=dtype))
+    z1t = T.transpose(T.concat([z_mixed, ones], axis=-1), (0, 1, 3, 2))  # (B,H,C_h+1,L)
     if cfg.boundary_first:
-        factor, mask_next = pconv_propagate(mask, cfg.pconv_kernel, gh, gw)
+        k = cfg.pconv_kernel
+        factor, mask_next = pconv_propagate(mask, k, gh, gw)
+        wz = T.reshape(params[p + "pconv_w"] * T.reshape(z1t, (b, h, 1, ch + 1, l)),
+                       (b, h, k * k * (ch + 1), l))              # tap-major
+        bz = T.matmul(z1t, params[p + "pconv_b"])                # (B, H, C_h+1, 1)
+        f = Tensor(factor[:, None, None, :].astype(dtype))
+        obs = Tensor(mask_next[:, None, None, :].astype(dtype))
+        num = T.tap_contract(s, wz, k, gh, gw) * f + bz * obs
     else:
-        factor, mask_next = None, mask
-    ch = cfg.head_dim
-    num = _fused_numerator(z_mixed, s, factor, mask_next, params, layer, gh, gw)
+        mask_next = mask
+        num = T.matmul(z1t, s)                                   # (B, H, C_h+1, N)
     row = num[:, :, ch:]
     safe = T.masked_fill(row, row.data <= 0.0, np.inf)
     out_h = num[:, :, :ch] / safe                                      # (B, H, C_h, N)
     merged = _merge_heads(out_h, cfg)
-    branch = T.matmul(merged, params[f"L{layer}.merge_w"]) + params[f"L{layer}.merge_b"]
+    branch = T.matmul(merged, params[p + "merge_w"]) + params[p + "merge_b"]
     return branch, mask_next
 
 
@@ -435,7 +428,7 @@ def lano_forward(coords: np.ndarray, frames: np.ndarray, mask: np.ndarray,
 
 
 # -- checkpoints -----------------------------------------------------------------
-# magic "POBW", version u32=4, u32-length-prefixed UTF-8 JSON object of the
+# magic "POBW", version u32=5, u32-length-prefixed UTF-8 JSON object of the
 # ModelConfig fields, then each tensor's little-endian float32 data in
 # declaration order; the config fixes every shape, so none is stored.
 

@@ -404,7 +404,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def transpose(x: Tensor, axes=None) -> Tensor:
     data = x.data.transpose(axes)
-    inv = None if axes is None else np.argsort(axes)
+    inv = None if axes is None else np.argsort([a % x.ndim for a in axes])
     return _make(data, (x, lambda g: g.transpose(inv)))
 
 

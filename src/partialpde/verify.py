@@ -334,6 +334,12 @@ def _np_depthwise_conv(x, w):
     return np.einsum("...chwij,cij->...chw", win, w)
 
 
+def _tap_kernels(taps, k):
+    """(H, k*k, 1, L) taps -> (H*L, k, k) kernels: tap t = i*k + j, at grid
+    offset (i - k//2, j - k//2), is entry (i, j) of a zero-padded correlation."""
+    return taps.reshape(len(taps), k, k, -1).transpose(0, 3, 1, 2).reshape(-1, k, k)
+
+
 def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
                   y: np.ndarray, gh: int, gw: int) -> KernelOracleResult:
     """Materialize one layer's propagator branch as a dense low-rank kernel.
@@ -363,19 +369,19 @@ def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
     yh = y.reshape(n, h, ch).transpose(1, 0, 2)                 # (H, N, C_h)
 
     logits = _np_gelu(yh @ w("slice_w1") + w("slice_b1")) @ w("slice_w2") \
-        + w("slice_b2")
+        + w("slice_b2").transpose(0, 2, 1)                     # (H, N, L)
     s = softmax(logits / cfg.temperature, axis=-1) * mask[None, :, None]
     psi = s / (s.sum(axis=1, keepdims=True) + md.EPS)          # (H, N, L)
 
     if cfg.boundary_first:
         num = _np_depthwise_conv(s.transpose(0, 2, 1).reshape(h * l, gh, gw),
-                                 w("pconv_w"))
+                                 _tap_kernels(w("pconv_w"), k))
         ones_k = np.ones((1, k, k))
         counts = _np_depthwise_conv(mask.reshape(1, gh, gw), ones_k)[0]
         observed = counts > 0
         sizes = _np_depthwise_conv(np.ones((1, gh, gw)), ones_k)[0]
         factor = np.where(observed, sizes / np.where(observed, counts, 1.0), 0.0)
-        s_next = num * factor + w("pconv_b")[:, None, None] * observed
+        s_next = num * factor + w("pconv_b").reshape(h * l, 1, 1) * observed
         s_next = s_next.reshape(h, l, n).transpose(0, 2, 1)     # (H, N, L)
     else:
         s_next = s
@@ -484,8 +490,9 @@ def check_pconv_full_mask_reduction():
     z = rng.normal(size=(1, 2, 2, 4))
     got, m_next = md.phca_decode(Tensor(z), Tensor(s_arr), np.ones((1, 36)),
                                  params, 0, gh, gw)
-    conv = _np_depthwise_conv(s_arr.reshape(1, 4, gh, gw), params["L0.pconv_w"].data)
-    s_next = (conv + params["L0.pconv_b"].data[None, :, None, None]) \
+    conv = _np_depthwise_conv(s_arr.reshape(1, 4, gh, gw),
+                              _tap_kernels(params["L0.pconv_w"].data, 3))
+    s_next = (conv + params["L0.pconv_b"].data.reshape(1, 4, 1, 1)) \
         .reshape(1, 2, 2, 36).transpose(0, 1, 3, 2)               # (1, H, N, L)
     out_h = s_next / s_next.sum(axis=-1, keepdims=True) @ z       # (1, H, N, C_h)
     want = out_h.transpose(0, 2, 1, 3).reshape(1, 36, 8) @ params["L0.merge_w"].data \

@@ -127,7 +127,8 @@ def test_encode_rows_are_probabilities_then_masked_zero():
     # weights sums to one
     p = f"L0."
     hidden = T.gelu(T.matmul(yh, params[p + "slice_w1"]) + params[p + "slice_b1"])
-    logits = T.matmul(hidden, params[p + "slice_w2"]) + params[p + "slice_b2"]
+    logits = T.matmul(hidden, params[p + "slice_w2"]) \
+        + T.transpose(params[p + "slice_b2"], (0, 2, 1))
     pre = T.softmax(logits * (1.0 / cfg.temperature), axis=-1)
     assert np.abs(pre.data.sum(-1) - 1.0).max() < 1e-5
 
@@ -246,8 +247,9 @@ def test_pconv_identity_kernel_full_mask_is_s_plus_bias():
     cfg = small_config()
     gh = gw = 5
     params, s_arr, z = pconv_setup(cfg, gh, gw, seed=7)
-    w = np.zeros(params["L0.pconv_w"].shape)
-    w[:, 1, 1] = 1.0
+    k = cfg.pconv_kernel
+    w = np.zeros(params["L0.pconv_w"].shape)              # (H, k*k, 1, L)
+    w[:, k * k // 2] = 1.0                                 # the centre tap
     params["L0.pconv_w"].data = w
     params["L0.pconv_b"].data = np.full(params["L0.pconv_b"].shape, 0.25)
     got, _ = fused_decode(z, s_arr, np.ones((1, gh * gw)), params, gh, gw)
@@ -262,7 +264,7 @@ def test_pconv_interior_renormalization_is_k2_over_count():
     gh = gw = 7
     params, _, z = pconv_setup(cfg, gh, gw, seed=0)
     bias = np.array([0.3, 0.1])
-    params["L0.pconv_b"].data = bias
+    params["L0.pconv_b"].data = bias.reshape(1, 2, 1)
     rng = np.random.default_rng(8)
     vals = rng.random((gh, gw, 2))
     mask = (rng.random((gh, gw)) > 0.5).astype(np.float64)
@@ -391,6 +393,27 @@ def test_decode_rows_beyond_dilation_decode_to_merge_b():
 
 
 # -- layers and full forward ---------------------------------------------------------
+
+@pytest.mark.parametrize("mixer", md.MIXERS)
+def test_grad_forward_reshapes_or_transposes_no_parameter_but_slice_w2(
+        monkeypatch, mixer):
+    # every parameter is stored in the layout its forward reads; slice_w2
+    # keeps the layout its fan-in init draw fills
+    cfg = small_config(token_mixer=mixer)
+    params = md.ModelParams(cfg, seed=0)
+    names = {id(t): name for name, t in params.items()}
+    seen = []
+    for fn in ("reshape", "transpose"):
+        def spy(x, *args, _op=getattr(T, fn)):
+            if id(x) in names:
+                seen.append(names[id(x)])
+            return _op(x, *args)
+        monkeypatch.setattr(T, fn, spy)
+    coords, frames, mask = random_inputs(cfg, 4, 4, b=2)
+    with T.tape():
+        md.lano_forward(coords, frames, mask, params)
+    assert seen == [f"L{i}.slice_w2" for i in range(cfg.layers)]
+
 
 def test_layer_residual_identity_at_init():
     # merge projection is zero-initialized, so the propagator branch vanishes
@@ -727,33 +750,22 @@ def test_checkpoint_config_holding_numpy_scalars_round_trips(tmp_path):
         '"boundary_first": true}')
 
 
-def test_checkpoint_version_1_is_rejected(tmp_path):
+@pytest.mark.parametrize("version", [
+    1,   # the config held `variant` and `eps`; recalc models stored pos_* weights
+    2,   # the config was stored as key=value lines
+    3,   # each tensor's ndim and dims were stored before its data
+    4,   # pconv_w was stored as (H·L, k, k)
+])
+def test_checkpoint_old_version_is_rejected(tmp_path, version):
     raw = saved_checkpoint(tmp_path)
-    old = tmp_path / "v1.pobw"
-    old.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
-    with pytest.raises(md.CheckpointError, match="unsupported version 1"):
-        md.load_checkpoint(old)
-
-
-def test_checkpoint_version_3_is_rejected(tmp_path):
-    # version 3 stored each tensor's ndim and dims before its data
-    raw = saved_checkpoint(tmp_path)
-    old = tmp_path / "v3.pobw"
-    old.write_bytes(raw[:4] + (3).to_bytes(4, "little") + raw[8:])
-    with pytest.raises(md.CheckpointError, match="unsupported version 3"):
-        md.load_checkpoint(old)
-
-
-def test_checkpoint_version_2_is_rejected(tmp_path):
-    # version 2 stored the config as key=value lines
-    raw = saved_checkpoint(tmp_path)
-    cfg = small_config()
-    text = "\n".join(f"{f.name}={getattr(cfg, f.name)!r}"
-                     for f in dataclasses.fields(cfg)).encode()
-    old = tmp_path / "v2.pobw"
-    old.write_bytes(with_config_text(raw[:4] + (2).to_bytes(4, "little") + raw[8:],
-                                     text))
-    with pytest.raises(md.CheckpointError, match="unsupported version 2"):
+    raw = raw[:4] + version.to_bytes(4, "little") + raw[8:]
+    if version == 2:
+        cfg = small_config()
+        raw = with_config_text(raw, "\n".join(f"{f.name}={getattr(cfg, f.name)!r}"
+                                              for f in dataclasses.fields(cfg)).encode())
+    old = tmp_path / f"v{version}.pobw"
+    old.write_bytes(raw)
+    with pytest.raises(md.CheckpointError, match=f"unsupported version {version}"):
         md.load_checkpoint(old)
 
 

@@ -313,6 +313,8 @@ PRIMITIVE_CASES = [
     ("layernorm", lambda a: T.layernorm(T.reshape(a, (3, 4))), "g"),
     ("mean", lambda a: T.reshape(a, (3, 4)).mean(), "g"),
     ("reshape_transpose", lambda a: T.transpose(T.reshape(a, (3, 4)), (1, 0)), "g"),
+    ("transpose_negative_axes",
+     lambda a: T.transpose(T.reshape(a, (1, 2, 2, 3)), (0, 1, -1, -2)), "g"),
     ("concat", concat_fn, "gg"),
     ("concat_const", concat_fn, "gc"),
     ("getitem", lambda a: T.reshape(a, (3, 4))[1:, ::2], "g"),
