@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=sorted(PATTERNS), default="patch")
     p.add_argument("--patch", type=int, default=tr.MaskSpec.patch_size)
     p.add_argument("--split", default="test")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ev.TEST_MASK_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -1,6 +1,10 @@
-"""Evaluation metrics: relative L2, masked one-step evaluation over
-rate/pattern grids, CSV rows, and the interpolation-fill reference mode
-(Clough-Tocher cubic interpolation over the observed cells).
+"""The one-step task and its metrics.  The task lives here alone: the
+window-and-target batch (`assemble_batch`), the frame-count rule
+(`check_one_step_frames`) and the default test-mask seed (`TEST_MASK_SEED`),
+which training, validation, `eval` and `ablate` share.  Then relative L2,
+masked one-step evaluation over rate/pattern grids, CSV rows, and the
+interpolation-fill reference mode (Clough-Tocher cubic interpolation over
+the observed cells).
 
 The ablation harness, whose `rates` axis is the train/test rate matrix,
 trains models, so it lives in `training`, next to `train_on_splits`.
@@ -16,6 +20,8 @@ import numpy as np
 from . import masking as mk
 from . import model as md
 from . import pdegen as pg
+
+TEST_MASK_SEED = 1234      # default seed of the test holes: `eval` and `ablate` share it
 
 
 class EvalError(ValueError):
@@ -50,17 +56,24 @@ def check_one_step_frames(trajs, history: int) -> None:
     """Refuse trajectories too short for one window and its target."""
     shortest = min(t.t_all for t in trajs)
     if shortest <= history:
-        raise EvalError(f"one-step evaluation needs {history + 1} frames per "
+        raise EvalError(f"a one-step window needs {history + 1} frames per "
                         f"trajectory (history {history} + 1 target); the "
                         f"shortest has {shortest}")
+
+
+def assemble_batch(trajs, pairs, history: int):
+    """Each (trajectory, target index) pair's `history`-frame window and target."""
+    frames = np.stack([trajs[j].frames[i - history:i] for j, i in pairs])
+    targets = np.stack([trajs[j].frames[i] for j, i in pairs])
+    return frames, targets
 
 
 def predict_batch(params: md.ModelParams, trajs, masks: np.ndarray):
     """One-step predictions from the first window of each trajectory."""
     history = params.config.history
     check_one_step_frames(trajs, history)
-    frames = np.stack([t.frames[:history] for t in trajs])
-    truths = np.stack([t.frames[history] for t in trajs])
+    frames, truths = assemble_batch(trajs, [(j, history) for j in range(len(trajs))],
+                                    history)
     coords = pg.GridGeometry(*frames.shape[2:4]).coords()
     pred = md.lano_forward(coords, frames, masks, params)
     return pred.data, truths
@@ -80,7 +93,7 @@ def trajectory_errors(params: md.ModelParams, trajs, masks: np.ndarray) -> list:
 
 
 def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
-             patch_size: int = 4, seed: int = 0) -> list:
+             patch_size: int = 4, seed: int = TEST_MASK_SEED) -> list:
     """Seeded masks per (rate, trajectory); full-domain relative L2.
 
     Returns one row dict per requested test rate; rows carry the mean and
@@ -92,6 +105,8 @@ def evaluate(params: md.ModelParams, trajs, pattern: str, test_rates,
         raise EvalError("no test rates to evaluate")
     if not all(0.0 <= rate < 1.0 for rate in test_rates):
         raise EvalError(f"test rates must be in [0, 1), got {list(test_rates)}")
+    if seed < 0:
+        raise EvalError(f"seed must be >= 0, got {seed}")
     _, h, w, _ = trajs[0].frames.shape
     for j, traj in enumerate(trajs):
         if traj.frames.shape[1:3] != (h, w):

@@ -89,6 +89,8 @@ def gen_patchwise_mask(h: int, w: int, missing_rate: float, patch_size: int,
 
 def gen_mask(pattern: str, h: int, w: int, missing_rate: float, seed: int,
              patch_size: int = 4) -> ObservationMask:
+    if seed < 0:
+        raise MaskError(f"seed must be >= 0, got {seed}")
     if pattern == POINTWISE:
         return gen_pointwise_mask(h, w, missing_rate, seed)
     if pattern == PATCHWISE:

@@ -1,6 +1,7 @@
 """Mask-to-predict training: one-step supervised loss on observed points,
 artificial-mask input augmentation with a consistency term, AdamW, and a
-one-cycle learning-rate schedule.
+one-cycle learning-rate schedule.  The one-step task itself (windows, the
+frame-count rule, the test-mask seed) lives in `evaluation`.
 
 The experiment harness `ablate` lives here too.  Each of its variants is one
 `train_on_splits` call with its own model config, `TrainConfig` and
@@ -23,6 +24,8 @@ from . import masking as mk
 from . import model as md
 from . import pdegen as pg
 from . import tensor as T
+# a module global here: a tracer patching `training.assemble_batch` sees steps only
+from .evaluation import assemble_batch
 from .tensor import Tensor
 
 
@@ -78,6 +81,8 @@ class TrainConfig:
             raise ValueError("consistency_weight must be >= 0")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # -- losses ---------------------------------------------------------------------
@@ -133,9 +138,11 @@ def adamw_step(state: TrainState, grads: dict, lr: float,
                cfg: TrainConfig) -> TrainState:
     """Bias-corrected Adam moments with decoupled weight decay.
 
-    Each parameter keeps its dtype: the gradient is cast to it, the moments
-    and the updated values stay in it, and `lr` enters as a Python float,
-    so a float32 run stays float32 whatever the dtypes of `lr` and `grads`.
+    `grads` maps parameter tensors to gradients, as `T.backward` returns
+    them; a parameter without one is left as it is.  Each parameter keeps
+    its dtype: the gradient is cast to it, the moments and the updated
+    values stay in it, and `lr` enters as a Python float, so a float32 run
+    stays float32 whatever the dtypes of `lr` and `grads`.
     """
     lr = float(lr)
     state.step += 1
@@ -144,7 +151,7 @@ def adamw_step(state: TrainState, grads: dict, lr: float,
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name, p in state.params.items():
-        g = grads.get(name)
+        g = grads.get(p)
         if g is None:
             continue
         if not np.all(np.isfinite(g)):
@@ -177,15 +184,7 @@ def one_cycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 def make_pairs(n_traj: int, t_all: int, history: int):
     """(trajectory, target_index) rolling windows; one pair per window."""
-    if t_all < history + 1:
-        raise ValueError(f"need t_all >= history+1, got {t_all} vs {history}+1")
     return [(j, i) for j in range(n_traj) for i in range(history, t_all)]
-
-
-def assemble_batch(trajs, pairs, history):
-    frames = np.stack([trajs[j].frames[i - history:i] for j, i in pairs])
-    targets = np.stack([trajs[j].frames[i] for j, i in pairs])
-    return frames, targets
 
 
 @dataclass
@@ -205,8 +204,6 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
     seed and trajectory index).  Per step the input is further occluded by
     a fresh artificial mask; supervision stays on the trajectory mask.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     gh, gw = grid_hw
     train = splits.get("train")
     val = splits.get("val") or []      # never the test split
@@ -224,11 +221,9 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
                 raise ValueError(f"{split} trajectory {j} has frames of shape {got}, "
                                  f"train trajectory 0 has {want}")
     history = model_cfg.history
-    if val:
-        ev.check_one_step_frames(val, history)
+    ev.check_one_step_frames(train + val, history)
 
-    t_all = train[0].t_all
-    pairs = make_pairs(len(train), t_all, history)
+    pairs = make_pairs(len(train), train[0].t_all, history)
     coords = pg.GridGeometry(gh, gw).coords()
 
     train_masks = [mask_spec.generate(gh, gw, mk.derived_seed(train_cfg.seed, 1, j))
@@ -236,6 +231,8 @@ def train_on_splits(splits: dict, grid_hw: tuple, mask_spec: MaskSpec,
     val_masks = np.stack([
         mask_spec.generate(gh, gw, mk.derived_seed(train_cfg.seed, 2, j)).grid
         for j in range(len(val))]) if val else None
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     params = md.ModelParams(model_cfg, seed=mk.derived_seed(train_cfg.seed, 0))
     state = TrainState(params)
@@ -318,9 +315,7 @@ def _train_step(params, state, coords, frames, targets, mask_objs,
         loss = masked_one_step_loss(pred, targets, masks)
         if consistency:
             loss = loss + consistency_loss(clean, pred) * lam
-        grads_by_tensor = T.backward(loss)
-    grads = {name: grads_by_tensor[t] for name, t in params.items()
-             if t in grads_by_tensor}
+        grads = T.backward(loss)
     adamw_step(state, grads, lr, cfg)
     return float(loss.data)
 
@@ -330,8 +325,6 @@ def _train_step(params, state, coords, frames, targets, mask_objs,
 ABLATION_AXES = ("tokens", "components", "mixer", "rates")
 TOKEN_SWEEP = (1, 8, 16, 32, 64)
 RATE_MATRIX = ((0.05, (0.05, 0.25)), (0.25, (0.25, 0.50)), (0.50, (0.50, 0.75)))
-# every harness run scores the test split under the same seeded masks
-HARNESS_TEST_SEED = 1234
 
 
 def ablate(splits, grid_hw, base_cfg: md.ModelConfig, axis: str,
@@ -375,13 +368,14 @@ def ablate(splits, grid_hw, base_cfg: md.ModelConfig, axis: str,
                            "into its own directory")
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, cfg, tcfg, spec, test_rates in variants:
         res = train_on_splits(splits, grid_hw, spec, cfg, tcfg, out / name)
         params = md.load_checkpoint(res.checkpoint_path)
         rows += [{**r, "variant": name, "train_rate": spec.missing_rate}
                  for r in ev.evaluate(params, test, spec.pattern, test_rates,
-                                      spec.patch_size, seed=HARNESS_TEST_SEED)]
+                                      spec.patch_size)]
+    # made only now, so a first run that is refused leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
     ev.write_rows(out / "ablation.csv", rows)
     return rows

@@ -8,7 +8,8 @@ All properties here are architectural, so a fresh random-init model passes.
 
 The dense kernel oracle (`kernel_oracle`) materializes one layer's
 aggregation/de-aggregation as an explicit low-rank kernel integral, an
-independent numpy route to the propagator branch.
+independent numpy route to the propagator branch.  The MLP token mixer is
+nonlinear in the tokens, so for it the oracle runs through the tokens.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ class OracleSizeError(ValueError):
 
 @dataclass
 class KernelOracleResult:
-    kappa: np.ndarray      # (H, N, N) per-head scalar kernels
+    kappa: np.ndarray | None   # (H, N, N) per-head scalar kernels; None for mixer "mlp"
     integral: np.ndarray   # (N, C) brute-force contraction + head merge
     identity: np.ndarray   # (N, C) residual self-update term (zero when unobserved)
     mask: np.ndarray       # (N,)
@@ -349,15 +350,14 @@ def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
     plus head merge give the target factors, and the contraction runs as a
     dense (N x N) kernel multiply rather than through the token bottleneck.
     Only mixer "none" (skip) and "attention" (folded as a learned token-to-
-    token transformation) admit the factorization.
+    token transformation) admit the factorization.  Mixer "mlp" runs per head
+    psi^T Y, the two-layer token MLP and phi Z in turn, with no kernel.
     """
     from scipy.special import softmax
     cfg = params.config
     n = gh * gw
     if n > ORACLE_MAX_POINTS:
         raise OracleSizeError(f"{n} points exceeds the limit {ORACLE_MAX_POINTS}")
-    if cfg.token_mixer == "mlp":
-        raise OracleSizeError("mlp token mixer does not fold into the kernel")
     mask = np.asarray(mask, dtype=np.float64).reshape(n)
     y = np.asarray(y, dtype=np.float64).reshape(n, cfg.channels)
     p = f"L{layer}."
@@ -389,17 +389,19 @@ def kernel_oracle(params: md.ModelParams, layer: int, mask: np.ndarray,
     row = s_next.sum(axis=-1, keepdims=True)
     phi = np.where(row > 0, s_next / np.where(row > 0, row, 1.0), 0.0)
 
-    if cfg.token_mixer == "attention":
+    if cfg.token_mixer == "mlp":
+        zt = np.einsum("hnl,hnc->hcl", psi, yh)                  # (H, C_h, L)
+        mixed = _np_gelu(zt @ w("mix_w1") + w("mix_b1")) @ w("mix_w2") + w("mix_b2")
+        kappa, contracted = None, np.einsum("hnl,hcl->hnc", phi, mixed)
+    elif cfg.token_mixer == "attention":
         z = np.einsum("hnl,hnc->hlc", psi, yh)
         probs = softmax((z @ w("mix_wq")) @ (z @ w("mix_wk")).transpose(0, 2, 1)
                         / np.sqrt(ch), axis=-1)                 # (H, L, L)
         kappa = np.einsum("hnl,hlm,hkm->hnk", phi, probs, psi)
-        value_map = w("mix_wv")
+        contracted = np.einsum("hnk,hkc->hnc", kappa, yh @ w("mix_wv"))
     else:
         kappa = np.einsum("hnl,hkl->hnk", phi, psi)
-        value_map = np.broadcast_to(np.eye(ch), (h, ch, ch))
-
-    contracted = np.einsum("hnk,hkc->hnc", kappa, yh @ value_map)
+        contracted = np.einsum("hnk,hkc->hnc", kappa, yh)
     merged = contracted.transpose(1, 0, 2).reshape(n, cfg.channels)
     integral = merged @ w("merge_w") + w("merge_b")
     identity = y * mask[:, None]
@@ -432,12 +434,12 @@ def _oracle_instance(seed, gh=8, gw=8, mixer="none", boundary_first=True,
 
 
 def check_kernel_oracle():
-    """20 instances cycle over both mixers that fold into the dense kernel
-    (none, attention), each with and without boundary-first propagation."""
+    """20 instances cycle over the three mixers (none, attention, mlp), each
+    with and without boundary-first propagation."""
     worst = 0.0
     for seed in range(20):
         gh = gw = (8, 12, 16)[seed % 3]
-        mixer, bf = ("none", "attention")[seed // 2 % 2], seed % 2 == 0
+        mixer, bf = ("none", "attention", "mlp")[seed // 2 % 3], seed % 2 == 0
         _, params, y, mask = _oracle_instance(seed, gh, gw, mixer, bf)
         res = kernel_oracle(params, 0, mask, y, gh, gw)
         branch, _ = md.phlp_branch(Tensor(y[None]), mask[None], params, 0, gh, gw)
@@ -559,7 +561,7 @@ def check_adam_first_step():
     state = tr.TrainState(params)
     tcfg = tr.TrainConfig(weight_decay=0.0)
     g = np.full(params["out.b"].shape, -1.3)
-    tr.adamw_step(state, {"out.b": g}, lr=0.05, cfg=tcfg)
+    tr.adamw_step(state, {params["out.b"]: g}, lr=0.05, cfg=tcfg)
     want = -0.05 * (-1.3) / (1.3 + tr.ADAM_EPS)
     dev = np.abs(params["out.b"].data - want).max()
     return dev < 1e-7, f"first-step dev {dev:.2e}"
@@ -597,8 +599,7 @@ def check_descent_step():
     before = loss_value()
     with T.tape():
         pred = md.lano_forward(coords, frames, masks, params)
-        grads_t = T.backward(tr.masked_one_step_loss(pred, targets, masks))
-    grads = {n: grads_t[t] for n, t in params.items() if t in grads_t}
+        grads = T.backward(tr.masked_one_step_loss(pred, targets, masks))
     tr.adamw_step(state, grads, lr=1e-6, cfg=tr.TrainConfig(weight_decay=0.0))
     after = loss_value()
     return after < before, f"loss {before:.6f} -> {after:.6f}"

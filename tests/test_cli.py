@@ -191,7 +191,7 @@ def test_cli_train_rejects_an_unusable_kernel(tmp_path, capsys, kernel):
     ("--heads", 0, "heads"), ("--channels", 0, "channels"),
     ("--mlp-ratio", 0, "mlp_ratio"), ("--mlp-ratio", -3, "mlp_ratio"),
     ("--temperature", "nan", "temperature"), ("--lr", "nan", "learning_rate"),
-    ("--weight-decay", -1, "weight_decay"),
+    ("--weight-decay", -1, "weight_decay"), ("--seed", -1, "seed"),
 ])
 def test_cli_train_rejects_an_unusable_setting(tmp_path, capsys, flag, value, field):
     code, err = run(capsys, "train", "--data", small_dataset(tmp_path), *TINY_MODEL,
@@ -199,6 +199,39 @@ def test_cli_train_rejects_an_unusable_setting(tmp_path, capsys, flag, value, fi
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
     assert not (tmp_path / "run" / "model.pobw").exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "eval", "gen-mask"])
+def test_cli_negative_seed_is_an_error_that_writes_nothing(tmp_path, capsys, command):
+    ds, ckpt = small_dataset(tmp_path), tiny_checkpoint(tmp_path)
+    argv = {"ablate": ["ablate", "--axis", "components", "--data", ds, *TINY_MODEL,
+                       "--epochs", 1],
+            "eval": ["eval", "--ckpt", ckpt, "--data", ds],
+            "gen-mask": ["gen-mask", "--grid", 8]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    code, err = run(capsys, *argv, "--seed", -1, "--out", tmp_path / "out")
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_cli_eval_defaults_score_an_ablate_checkpoint_on_the_ablate_holes(tmp_path,
+                                                                         capsys):
+    ds = tmp_path / "ds"
+    code, _ = run(capsys, "gen-data", "--pde", "ns", "--grid", 16, "--traj", 2,
+                  "--val", 1, "--test", 4, "--tsteps", 4, "--dt", 0.05, "--out", ds)
+    assert code == 0
+    code, err = run(capsys, "ablate", "--axis", "components", "--data", ds,
+                    *TINY_MODEL, "--epochs", 1, "--out", tmp_path / "ab")
+    assert code == 0 and err == []
+    full, = [r for r in read_csv(tmp_path / "ab" / "ablation.csv")
+             if r["variant"] == "full"]
+    code, err = run(capsys, "eval", "--ckpt", tmp_path / "ab" / "full" / "model.pobw",
+                    "--data", ds, "--rates", full["test_rate"],
+                    "--out", tmp_path / "e.csv")
+    assert code == 0 and err == []
+    row, = read_csv(tmp_path / "e.csv")
+    assert row["mean_rel_l2"] == full["mean_rel_l2"]
 
 
 def test_cli_eval_of_a_checkpoint_with_a_mistyped_config_is_an_error(tmp_path, capsys):

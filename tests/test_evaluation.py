@@ -79,6 +79,13 @@ def test_evaluate_rejects_a_test_rate_outside_0_1(rate):
         ev.evaluate(md.ModelParams(cfg, seed=0), trajs, mk.POINTWISE, [0.25, rate])
 
 
+def test_evaluate_rejects_a_negative_seed():
+    trajs = [pg.solve_navier_stokes(pg.GridGeometry(8, 8), seed=0, t_steps=3, dt=0.05)]
+    cfg = md.ModelConfig(layers=1, channels=8, heads=2, latent_tokens=2, history=2)
+    with pytest.raises(ev.EvalError, match="seed"):
+        ev.evaluate(md.ModelParams(cfg, seed=0), trajs, mk.POINTWISE, [0.25], seed=-1)
+
+
 def test_evaluate_rejects_trajectories_on_different_grids():
     # the masks are laid on the first trajectory's grid
     trajs = [pg.solve_navier_stokes(pg.GridGeometry(*hw), seed=0, t_steps=3, dt=0.05)

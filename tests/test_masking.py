@@ -57,6 +57,12 @@ def test_patch_larger_than_grid_rejected():
         mk.gen_patchwise_mask(8, 8, 0.25, 9, seed=0)
 
 
+@pytest.mark.parametrize("pattern", [mk.POINTWISE, mk.PATCHWISE])
+def test_negative_seed_rejected(pattern):
+    with pytest.raises(mk.MaskError, match="seed"):
+        mk.gen_mask(pattern, 8, 8, 0.25, seed=-1)
+
+
 def test_mask_reproducible_bit_for_bit():
     a = mk.gen_patchwise_mask(64, 64, 0.3, 4, seed=77)
     b = mk.gen_patchwise_mask(64, 64, 0.3, 4, seed=77)

@@ -628,8 +628,11 @@ def test_kernel_oracle_with_attention_mixer():
     pytest.param("none", False, False, id="none-False"),
     pytest.param("attention", True, False, id="attention-True"),
     pytest.param("attention", False, False, id="attention-False"),
+    pytest.param("mlp", True, False, id="mlp-True"),
+    pytest.param("mlp", False, False, id="mlp-False"),
     pytest.param("none", True, True, id="none-True-sign_mixed"),
     pytest.param("attention", True, True, id="attention-True-sign_mixed"),
+    pytest.param("mlp", True, True, id="mlp-True-sign_mixed"),
 ])
 def test_fused_branch_matches_oracle_float64(mixer, boundary_first, sign_mixed):
     # non-trivial propagation weights.  Positive ones give every reached row

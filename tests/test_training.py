@@ -115,15 +115,15 @@ def test_adamw_zero_gradient_no_decay_keeps_parameters():
     state, name = tiny_state(1.5)
     before = state.params[name].data.copy()
     cfg = tr.TrainConfig(weight_decay=0.0)
-    tr.adamw_step(state, {name: np.zeros_like(before)}, lr=0.1, cfg=cfg)
+    tr.adamw_step(state, {state.params[name]: np.zeros_like(before)}, lr=0.1, cfg=cfg)
     assert np.array_equal(state.params[name].data, before)
 
 
 def test_adamw_decoupled_decay_only():
     state, name = tiny_state(2.0)
     cfg = tr.TrainConfig(weight_decay=0.01)
-    tr.adamw_step(state, {name: np.zeros(state.params[name].shape)}, lr=0.1,
-                  cfg=cfg)
+    p = state.params[name]
+    tr.adamw_step(state, {p: np.zeros(p.shape)}, lr=0.1, cfg=cfg)
     assert np.allclose(state.params[name].data, 2.0 * (1 - 0.1 * 0.01))
 
 
@@ -131,7 +131,7 @@ def test_adamw_nan_gradient_names_group():
     state, name = tiny_state(0.0)
     bad = np.full(state.params[name].shape, np.nan)
     with pytest.raises(tr.TrainingDiverged, match=name):
-        tr.adamw_step(state, {name: bad}, lr=0.1, cfg=tr.TrainConfig())
+        tr.adamw_step(state, {state.params[name]: bad}, lr=0.1, cfg=tr.TrainConfig())
 
 
 def test_one_cycle_lr_is_a_python_float():
@@ -149,8 +149,8 @@ def test_adamw_keeps_each_parameter_dtype(dtype, grad_dtype):
     rng = np.random.default_rng(4)
     cfg = tr.TrainConfig()
     for _ in range(3):
-        grads = {name: rng.normal(size=p.shape).astype(grad_dtype)
-                 for name, p in state.params.items()}
+        grads = {p: rng.normal(size=p.shape).astype(grad_dtype)
+                 for p in state.params.tensors()}
         tr.adamw_step(state, grads, lr=np.float64(1e-3), cfg=cfg)
     want = {np.dtype(dtype)}
     assert {t.data.dtype for t in state.params.tensors()} == want
@@ -302,7 +302,7 @@ def test_train_on_splits_refuses_a_val_split_too_short_to_score_before_any_step(
                            tiny_model_cfg(history=3),
                            tr.TrainConfig(epochs=1, batch_size=4), tmp_path / "run")
     assert steps == []
-    assert not list((tmp_path / "run").iterdir())
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_runs_and_writes_artifacts(tmp_path):
@@ -381,7 +381,7 @@ def test_untrainable_config_is_rejected(field):
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ("weight_decay", -1.0), ("weight_decay", float("nan")),
-    ("consistency_weight", float("inf")),
+    ("consistency_weight", float("inf")), ("seed", -1),
 ])
 def test_train_config_rejects_unusable_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -461,6 +461,37 @@ def test_training_step_records_only_the_grad_forward(tmp_path, monkeypatch):
     ]
     assert events[2][2] > 0
     assert len(T.active_tape()) == 0
+
+
+def test_each_training_step_calls_the_traced_training_globals_once(tmp_path,
+                                                                   monkeypatch):
+    # the benchmark's tracer patches these `training` attributes and opens a
+    # step at `assemble_batch`: a step that called `ev.assemble_batch`, or
+    # any of them by another route, would read 0 in its step metrics
+    names = ("assemble_batch", "adamw_step", "masked_one_step_loss",
+             "consistency_loss")
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name):
+        orig = getattr(tr, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(tr, name, wrapper)
+
+    for name in names:
+        counted(name)
+    backward, steps = T.backward, []
+    monkeypatch.setattr(T, "backward", lambda loss: steps.append(loss) or backward(loss))
+    splits = tiny_dataset(n_train=2, n_val=1)      # four pairs in batches of 2
+    tr.train_on_splits(splits, (8, 8), tr.MaskSpec(mk.PATCHWISE, 0.25, 4),
+                       tiny_model_cfg(),
+                       tr.TrainConfig(epochs=1, batch_size=2, mpt_enabled=True,
+                                      consistency_weight=0.1), tmp_path / "run")
+    assert len(steps) == 2
+    assert counts == dict.fromkeys(names, 2)
 
 
 def test_raising_grad_forward_leaves_nothing_for_the_next_backward():
@@ -590,9 +621,15 @@ def test_mpt_training_at_a_high_patch_rate_never_feeds_an_empty_mask(tmp_path):
     assert res.checkpoint_path.exists()
 
 
-def test_train_rejects_short_trajectories():
-    with pytest.raises(ValueError):
-        tr.make_pairs(2, t_all=3, history=3)
+def test_train_rejects_short_trajectories(tmp_path):
+    # a train split one frame short of a window and its target, under the
+    # rule that scoring applies too
+    splits = tiny_dataset(n_train=2, n_val=0, t_steps=3)
+    with pytest.raises(ev.EvalError, match="needs 4 frames"):
+        tr.train_on_splits(splits, (8, 8), tr.MaskSpec(mk.PATCHWISE, 0.25, 4),
+                           tiny_model_cfg(history=3),
+                           tr.TrainConfig(epochs=1, batch_size=4), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 # -- the experiment harness ------------------------------------------------------------
@@ -638,3 +675,11 @@ def test_ablate_refuses_a_test_split_too_short_to_score_before_any_training(
                   tr.MaskSpec(mk.PATCHWISE, 0.25, 4), tr.TrainConfig(epochs=1),
                   tmp_path / "ab")
     assert names == []
+
+
+def test_ablate_whose_first_run_is_refused_leaves_no_directory(tmp_path):
+    with pytest.raises(mk.MaskError, match="patch_size 9"):
+        tr.ablate(harness_splits(), (8, 8), tiny_model_cfg(), "components",
+                  tr.MaskSpec(mk.PATCHWISE, 0.25, 9), tr.TrainConfig(epochs=1),
+                  tmp_path / "ab")
+    assert not (tmp_path / "ab").exists()
